@@ -27,15 +27,3 @@ class TraceFormatError(ReproError):
 
 class TopologyError(ConfigurationError):
     """A node/tree topology operation was invalid (unknown node, empty tree)."""
-
-
-class ShardRoutingError(ReproError):
-    """A sharded run routed a request to a partition that does not own it.
-
-    Raised by :meth:`repro.hierarchy.base.Architecture.check_shard_owns`:
-    under object-space partitioning every peer a hint/ICP/directory lookup
-    can name lives in the object's owning partition, so a foreign object
-    reaching an engine means the trace split or the consistent-hash
-    routing is broken -- continuing would silently violate shard-count
-    invariance.
-    """

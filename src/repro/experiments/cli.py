@@ -105,24 +105,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--shards", type=int, default=None, metavar="N",
         help="with the 'decompose'/'timeline' verbs: partition the object "
-        "space across N shard engines (consistent hashing over a fixed "
-        "set of virtual partitions, so results are identical for any N; "
-        "combine with --jobs to run shards in parallel).  An explicit "
-        "'--shards 1' still runs the sharded engine, so its output diffs "
-        "clean against any other shard count; sharded runs partition the "
-        "cache populations, so absolute numbers differ from the default "
-        "unsharded run by design",
+        "space across N shard engines (each owns a contiguous range of a "
+        "fixed set of virtual partitions, so results are identical for "
+        "any N; combine with --jobs to run shards in parallel).  An "
+        "explicit '--shards 1' still runs the sharded engine, so its "
+        "output diffs clean against any other shard count.  With the "
+        "default unbounded caches, sharded numbers equal the unsharded "
+        "run's up to float rounding; --policy implies bounded capacities, "
+        "which make them approximate: every partition keeps the full "
+        "per-node capacity",
     )
     parser.add_argument(
         "--virtual-partitions", type=int, default=None, metavar="V",
         help="with --shards: fixed hash-space granularity (default 16); "
-        "results depend on V but not on the shard count, so keep V "
-        "pinned when comparing runs",
-    )
-    parser.add_argument(
-        "--clock-lag", type=float, default=3600.0, metavar="SECONDS",
-        help="with --shards: bounded-lag window for the cross-shard "
-        "virtual-clock sync (default 3600; results are lag-invariant)",
+        "results never depend on the shard count, but with --policy "
+        "capacities they depend on V, so keep V pinned when comparing "
+        "runs",
     )
     parser.add_argument(
         "--engine", choices=("reference", "fast", "auto"), default="reference",
@@ -419,8 +417,8 @@ def _sharded_comparison(args, config, profile_name, specs, timeline_dir=None):
     """Run ``specs`` under ``--shards`` and return the ShardedComparison.
 
     Raises ValueError for an invalid shard plan (shards < 1, fewer
-    virtual partitions than shards, non-positive lag) -- callers turn
-    that into a usage error.
+    virtual partitions than shards) -- callers turn that into a usage
+    error.
     """
     from repro.runner.sharding import (
         DEFAULT_VIRTUAL_PARTITIONS,
@@ -438,7 +436,6 @@ def _sharded_comparison(args, config, profile_name, specs, timeline_dir=None):
         specs,
         shards=args.shards if args.shards is not None else 1,
         virtual_partitions=virtual,
-        clock_lag_s=args.clock_lag,
         jobs=args.jobs,
         trace_cache_dir=args.trace_cache,
         timeline_dir=timeline_dir,

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro.cache.policy import DEFAULT_POLICY, PolicySpec
-from repro.common.errors import ShardRoutingError
-from repro.common.ids import partition_of_object
 from repro.netmodel.model import AccessPoint, CostModel
 from repro.traces.records import Request
 
@@ -54,45 +52,6 @@ def build_l1_caches(
         )
         for node in range(n_l1)
     ]
-
-
-@dataclass(frozen=True)
-class ShardInfo:
-    """One virtual partition's identity within a sharded run.
-
-    The sharded runner (:mod:`repro.runner.sharding`) splits the object
-    space into a fixed number of virtual partitions by stable hash and
-    gives every partition its own architecture instance.  Binding a
-    ``ShardInfo`` turns on shard-aware peer resolution: hint, ICP, and
-    directory lookups may only ever name caches inside the partition that
-    owns the object, and :meth:`Architecture.check_shard_owns` raises
-    :class:`~repro.common.errors.ShardRoutingError` the moment a request
-    for a foreign object reaches this instance -- a routing leak would
-    silently break shard-count invariance, so it fails loudly instead.
-
-    Attributes:
-        partition: This instance's virtual partition index.
-        virtual_partitions: Total virtual partitions in the run's plan.
-    """
-
-    partition: int
-    virtual_partitions: int
-
-    def __post_init__(self) -> None:
-        if self.virtual_partitions < 1:
-            raise ValueError(
-                f"virtual_partitions must be at least 1, "
-                f"got {self.virtual_partitions}"
-            )
-        if not 0 <= self.partition < self.virtual_partitions:
-            raise ValueError(
-                f"partition {self.partition} outside "
-                f"[0, {self.virtual_partitions})"
-            )
-
-    def owns(self, object_id: int) -> bool:
-        """Whether this partition owns ``object_id`` under the stable hash."""
-        return partition_of_object(object_id, self.virtual_partitions) == self.partition
 
 
 @dataclass(frozen=True)
@@ -187,11 +146,6 @@ class Architecture(abc.ABC):
         #: when this is not None, so an un-audited run pays one pointer
         #: check per request.
         self.audit: "AuditHooks | None" = None
-        #: Bound shard identity, or None (the default unsharded case).
-        #: Set via :meth:`bind_shard`; ``process`` implementations call
-        #: :meth:`check_shard_owns` only when this is not None, so an
-        #: unsharded run pays one pointer check per request.
-        self.shard: ShardInfo | None = None
 
     @abc.abstractmethod
     def process(self, request: Request) -> AccessResult:
@@ -222,38 +176,6 @@ class Architecture(abc.ABC):
     def attach_audit(self, hooks: "AuditHooks") -> None:
         """Opt this instance into runtime invariant auditing."""
         self.audit = hooks
-
-    # ------------------------------------------------------------------
-    # sharding (opt-in; see repro.runner.sharding)
-    # ------------------------------------------------------------------
-    def bind_shard(self, info: ShardInfo) -> None:
-        """Declare this instance the engine for one virtual partition.
-
-        Must be bound before any request is processed: a warmed instance
-        cannot retroactively claim its history honoured the partition.
-        """
-        if self.processed_requests:
-            raise ValueError(
-                f"cannot bind a shard to {self.name!r} after it processed "
-                f"{self.processed_requests} requests"
-            )
-        self.shard = info
-
-    def check_shard_owns(self, object_id: int) -> None:
-        """Raise unless this instance's partition owns ``object_id``.
-
-        Shard-aware peer resolution: with a shard bound, every hint, ICP
-        probe, and directory lookup this instance performs stays inside
-        the partition that owns the object -- which is only sound if the
-        object actually belongs here.  ``process`` implementations call
-        this on entry when ``self.shard`` is set.
-        """
-        shard = self.shard
-        if shard is not None and not shard.owns(object_id):
-            raise ShardRoutingError(
-                f"object {object_id} routed to partition {shard.partition} "
-                f"of {shard.virtual_partitions}, which does not own it"
-            )
 
     # ------------------------------------------------------------------
     # telemetry (opt-in; see repro.obs.telemetry)

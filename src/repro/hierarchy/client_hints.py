@@ -75,8 +75,6 @@ class ClientHintHierarchy(Architecture):
     def process(self, request: Request) -> AccessResult:
         if self.audit is not None:
             self.audit.checkpoint(self)
-        if self.shard is not None:
-            self.check_shard_owns(request.object_id)
         self._now = request.time
         l1_index = self.topology.l1_of_client(request.client_id)
         oid, version, size = request.object_id, request.version, request.size

@@ -84,8 +84,6 @@ class DataHierarchy(Architecture):
     def process(self, request: Request) -> AccessResult:
         if self.audit is not None:
             self.audit.checkpoint(self)
-        if self.shard is not None:
-            self.check_shard_owns(request.object_id)
         if self.faults is not None:
             return self._process_faulted(request)
         l1_index = self.topology.l1_of_client(request.client_id)

@@ -68,8 +68,6 @@ class CentralizedDirectoryArchitecture(Architecture):
     def process(self, request: Request) -> AccessResult:
         if self.audit is not None:
             self.audit.checkpoint(self)
-        if self.shard is not None:
-            self.check_shard_owns(request.object_id)
         if self.faults is not None:
             return self._process_faulted(request)
         self._now = request.time

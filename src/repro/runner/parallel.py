@@ -142,7 +142,7 @@ def _run_experiment_task(
     before = cache.stats.snapshot()
     profiler = profiling.active()
     span = (
-        profiler.span("experiment", category="runner", name=name)
+        profiler.span("experiment", category="runner", experiment=name)
         if profiler is not None
         else nullcontext()
     )
@@ -385,9 +385,6 @@ def run_comparison_parallel(
     timeline_bin_s: float = 3600.0,
     engine: str = "reference",
     profile_memory: bool = False,
-    shards: int = 1,
-    virtual_partitions: int | None = None,
-    clock_lag_s: float = 3600.0,
 ) -> dict[str, SimMetrics]:
     """Parallel twin of :func:`repro.sim.engine.run_comparison`.
 
@@ -430,49 +427,9 @@ def run_comparison_parallel(
     forwards memory sampling to profiled workers.  Metrics are unchanged
     by profiling; with no profiler attached this path is byte-identical
     to before.
-
-    ``shards > 1`` delegates to
-    :func:`repro.runner.sharding.run_comparison_sharded`: the object
-    space splits across per-shard engines (``virtual_partitions`` fixes
-    the hash granularity, ``clock_lag_s`` bounds the virtual-clock lag)
-    and the merged per-architecture metrics come back in the same
-    ``dict[str, SimMetrics]`` shape.  Sharded runs do not support
-    journey export or memory profiling; results are pinned invariant
-    across shard counts, but -- by design -- differ from the unsharded
-    ``shards=1`` path, which stays byte-identical to before.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if shards > 1:
-        if journey_dir is not None:
-            raise ValueError("journey export is not supported with shards > 1")
-        if profile_memory:
-            raise ValueError("memory profiling is not supported with shards > 1")
-        from repro.runner.sharding import (
-            DEFAULT_VIRTUAL_PARTITIONS,
-            run_comparison_sharded,
-        )
-
-        return run_comparison_sharded(
-            profile,
-            seed,
-            specs,
-            shards=shards,
-            virtual_partitions=(
-                virtual_partitions
-                if virtual_partitions is not None
-                else DEFAULT_VIRTUAL_PARTITIONS
-            ),
-            clock_lag_s=clock_lag_s,
-            jobs=jobs,
-            warmup_s=warmup_s,
-            include_uncachable=include_uncachable,
-            trace_cache_dir=trace_cache_dir,
-            fault_plan=fault_plan,
-            timeline_dir=timeline_dir,
-            timeline_bin_s=timeline_bin_s,
-            engine=engine,
-        ).results
     if engine == "fast":
         # Pre-flight: building a spec is cheap (empty caches), and doing
         # it here turns an in-worker crash into the serial path's error.

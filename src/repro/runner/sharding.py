@@ -1,76 +1,71 @@
 """Sharded multi-process simulation with shard-count-invariant results.
 
-The single-process engine caps the population one comparison can hold in
-memory; this module hash-partitions the **object space** across shard
-engines so a run's working set splits across worker processes -- the
-partitioning/replication shape of distributed cache deployments (and of
-the cooperative-caching literature the README surveys).
+The single-process engine holds a comparison's whole object population
+in one process; this module partitions the **object space** across
+shard engines so a run's working set splits across worker processes --
+the partitioning shape of distributed cache deployments (and of the
+cooperative-caching literature the README surveys).
 
 Three layers make shard counts invisible in the results:
 
 * **Fixed virtual partitions.**  A :class:`ShardPlan` maps every object
   id to one of ``virtual_partitions`` *virtual* partitions via a stable
   hash (:func:`repro.common.ids.partition_of_object` -- never Python's
-  randomized ``hash``).  Each virtual partition gets its own sub-trace
-  (its objects' requests, time order preserved), its own architecture
-  instance (full L1 client population -- the client -> L1 mapping is
-  topology-stable, so every partition sees the same proxy fabric), and
-  its own replacement-policy RNG stream
-  (:meth:`repro.cache.policy.PolicySpec.for_partition`, keyed on
-  partition identity).  Physical shards own *sets* of virtual partitions
-  through a consistent-hash ring, so changing ``shards`` only regroups
-  identical per-partition computations.
+  randomized ``hash``).  :func:`split_trace` gives each partition its
+  own sub-trace (its objects' requests, time order preserved); that is
+  where ownership is established, and checked once.  Each partition
+  then runs whole through :func:`~repro.sim.engine.run_simulation`, on
+  either engine, with its own architecture instance (full L1 client
+  population -- the client -> L1 mapping is topology-stable, so every
+  partition sees the same proxy fabric) and its own replacement-policy
+  RNG stream (:meth:`repro.cache.policy.PolicySpec.for_partition`, keyed
+  on partition identity).
 
-* **Bounded-lag virtual clock.**  A shard engine round-robins its
-  partitions' :class:`~repro.sim.engine.SimulationStepper` instances in
-  fixed partition order, advancing each to a shared horizon of
-  ``min(next event time) + clock_lag_s``: no partition's clock ever runs
-  more than the lag window ahead of the slowest, so cross-partition
-  interleaving cannot reorder observable state transitions.  Peer
-  resolution is shard-aware -- hint/ICP/directory lookups stay inside
-  the partition that owns the object, enforced per request by
-  :meth:`repro.hierarchy.base.Architecture.check_shard_owns` (a routing
-  leak raises :class:`~repro.common.errors.ShardRoutingError` instead of
-  silently breaking invariance).
+* **Contiguous ownership.**  Shard ``s`` owns a contiguous range of
+  partitions (``owner_of(p) = p * shards // virtual_partitions``), so
+  every shard owns ``floor(V/S)`` or ``ceil(V/S)`` of them.  Changing
+  ``shards`` only regroups identical per-partition computations.
 
 * **Canonical-order merge.**  Workers return per-partition results
   *unmerged*; the coordinator folds
   :meth:`repro.sim.metrics.SimMetrics.merge` and
   :func:`repro.obs.telemetry.merge_timeline_rows` in ascending partition
-  order -- exactly the way :func:`~repro.runner.parallel.run_comparison_parallel`
-  already merges per-architecture outputs, with the float-addition order
-  pinned.  Identical per-partition values folded in an identical order
-  are bit-identical for any shard count and any job count.
+  order, with the float-addition order pinned.  Identical per-partition
+  values folded in an identical order are bit-identical for any shard
+  count and any job count.
 
-Note the modelling consequence: a sharded run partitions each cache's
-population by object (per-partition capacities and per-partition L1
-populations), so its absolute numbers differ from an unsharded
-``run_comparison`` over the same trace.  The invariance contract is
-between sharded runs: ``--shards 1`` and ``--shards 4`` are pinned
-identical, which is what lets a population larger than one process holds
-run across many.
+What the numbers mean: the paper's four architectures (hierarchy, ICP,
+hints, directory) keep their cache state per object, so with unbounded
+caches a sharded run equals the unsharded
+:func:`~repro.sim.engine.run_comparison` over the same trace -- every
+counter and histogram bin exactly, float totals up to the order of
+addition.  Two kinds of run are approximate, though still invariant
+across shard and job counts:
+
+* bounded capacities: each partition keeps the full per-node capacity,
+  so a run over ``V`` partitions models ``V`` times the cache;
+* push and client-hint runs, and fault plans with hint-batch loss:
+  their RNG streams are shared across objects, so each partition draws
+  a different sequence.
 
 Fault plans replay per partition (every partition sees the same node
-crash/recover schedule), which keeps faulted runs shard-count invariant
-too; merged timeline *gauges* are summed across partitions (occupancy
-adds; a mirrored per-node up flag comes back scaled by the partition
-count -- see :func:`repro.obs.telemetry.merge_timeline_rows`).
+crash/recover schedule); merged timeline *gauges* are summed across
+partitions (occupancy adds; a mirrored per-node up flag comes back
+scaled by the partition count -- see
+:func:`repro.obs.telemetry.merge_timeline_rows`).
 """
 
 from __future__ import annotations
 
-import bisect
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
-from repro.common.ids import mix64, partitions_of_objects
+from repro.common.ids import partitions_of_objects
 from repro.common.timing import Stopwatch
-from repro.hierarchy.base import Architecture, ShardInfo
 from repro.runner.specs import ArchitectureSpec
 from repro.runner.trace_cache import cached_trace
-from repro.sim.engine import SimulationStepper, run_simulation
+from repro.sim.engine import run_simulation
 from repro.sim.metrics import SimMetrics
 from repro.traces.profiles import WorkloadProfile
 from repro.traces.records import Trace
@@ -83,10 +78,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: partition layout, never on how partitions are grouped into shards.
 DEFAULT_VIRTUAL_PARTITIONS = 16
 
-#: Ring points per shard on the consistent-hash ring.  Enough replicas
-#: to spread partitions evenly at small shard counts.
-RING_REPLICAS = 64
-
 
 @dataclass(frozen=True)
 class ShardPlan:
@@ -96,17 +87,14 @@ class ShardPlan:
         shards: Physical shard engines (process-pool work units per
             architecture).
         virtual_partitions: Fixed hash-space granularity; must be at
-            least ``shards``.  Changing it changes results (it reshapes
-            every partition's sub-trace); changing ``shards`` never does.
-        clock_lag_s: Bounded-lag window for the virtual-clock sync, in
-            simulated seconds.  Any positive value yields identical
-            results (partitions share no object state); smaller values
-            tighten interleaving at the cost of more round-robin passes.
+            least ``shards``.  Changing it reshapes every partition's
+            sub-trace, which can change the results of the approximate
+            runs (see the module docstring); changing ``shards`` never
+            changes any result.
     """
 
     shards: int
     virtual_partitions: int = DEFAULT_VIRTUAL_PARTITIONS
-    clock_lag_s: float = 3600.0
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -116,30 +104,14 @@ class ShardPlan:
                 f"virtual_partitions ({self.virtual_partitions}) must be >= "
                 f"shards ({self.shards}); each shard owns at least one"
             )
-        if self.clock_lag_s <= 0:
-            raise ValueError(
-                f"clock_lag_s must be positive, got {self.clock_lag_s}"
-            )
-
-    @cached_property
-    def _ring(self) -> tuple[list[int], list[int]]:
-        """Sorted (point hashes, owning shard) consistent-hash ring."""
-        points = sorted(
-            (mix64(0x5348_4152_4421, shard, replica), shard)
-            for shard in range(self.shards)
-            for replica in range(RING_REPLICAS)
-        )
-        return [point for point, _ in points], [shard for _, shard in points]
 
     def owner_of(self, partition: int) -> int:
-        """The shard owning ``partition`` (first ring point clockwise)."""
+        """The shard owning ``partition``: shards own contiguous ranges."""
         if not 0 <= partition < self.virtual_partitions:
             raise ValueError(
                 f"partition {partition} outside [0, {self.virtual_partitions})"
             )
-        hashes, shards = self._ring
-        index = bisect.bisect_right(hashes, mix64(0x5041_5254, partition))
-        return shards[index % len(shards)]
+        return partition * self.shards // self.virtual_partitions
 
     def partitions_of_shard(self, shard: int) -> tuple[int, ...]:
         """The virtual partitions ``shard`` owns, ascending."""
@@ -149,12 +121,6 @@ class ShardPlan:
             partition
             for partition in range(self.virtual_partitions)
             if self.owner_of(partition) == shard
-        )
-
-    def shard_info(self, partition: int) -> ShardInfo:
-        """The :class:`~repro.hierarchy.base.ShardInfo` for one partition."""
-        return ShardInfo(
-            partition=partition, virtual_partitions=self.virtual_partitions
         )
 
 
@@ -188,6 +154,10 @@ def split_trace(trace: Trace, plan: ShardPlan) -> list[Trace]:
     ``n_clients``, ``duration``, ``warmup``), so warmup boundaries and
     timeline bin layouts agree across partitions; only the request rows
     are filtered to the partition's objects.
+
+    This is the one place object ownership is established, so it is
+    checked here, once: every request must land in exactly one
+    sub-trace.  Architectures never re-check it per request.
     """
     import numpy as np
 
@@ -217,28 +187,12 @@ def split_trace(trace: Trace, plan: ShardPlan) -> list[Trace]:
                 warmup=trace.warmup,
             )
         )
+    covered = sum(len(sub) for sub in sub_traces)
+    if covered != len(trace):
+        raise RuntimeError(
+            f"split_trace covered {covered} of {len(trace)} requests"
+        )
     return sub_traces
-
-
-def advance_bounded_lag(
-    steppers: Sequence[SimulationStepper], lag_s: float
-) -> None:
-    """Drive several steppers under the bounded-lag virtual clock.
-
-    Repeatedly advances every unfinished stepper -- in the fixed order
-    given -- to ``min(next event time) + lag_s``, so no partition's clock
-    ever exceeds the globally slowest by more than the lag window.  Each
-    pass drains at least the slowest stepper's next request, so the loop
-    terminates after finitely many passes.
-    """
-    if lag_s <= 0:
-        raise ValueError(f"lag_s must be positive, got {lag_s}")
-    active = [stepper for stepper in steppers if not stepper.exhausted]
-    while active:
-        horizon = min(stepper.next_time for stepper in active) + lag_s
-        for stepper in active:
-            stepper.advance(horizon)
-        active = [stepper for stepper in active if not stepper.exhausted]
 
 
 @dataclass
@@ -279,37 +233,6 @@ class ShardedComparison:
         return max(per_shard)
 
 
-def _simulate_partition(
-    sub_trace: Trace,
-    architecture: Architecture,
-    *,
-    warmup_s: float | None,
-    include_uncachable: bool,
-    fault_plan: "FaultPlan | None",
-    telemetry,
-    engine: str,
-) -> SimulationStepper | SimMetrics:
-    """One partition's run: a stepper (reference) or finished metrics (fast)."""
-    if engine == "reference":
-        return SimulationStepper(
-            sub_trace,
-            architecture,
-            warmup_s=warmup_s,
-            include_uncachable=include_uncachable,
-            fault_plan=fault_plan,
-            telemetry=telemetry,
-        )
-    return run_simulation(
-        sub_trace,
-        architecture,
-        warmup_s=warmup_s,
-        include_uncachable=include_uncachable,
-        fault_plan=fault_plan,
-        telemetry=telemetry,
-        engine=engine,
-    )
-
-
 def _shard_task(
     profile: WorkloadProfile,
     seed: int,
@@ -331,60 +254,34 @@ def _shard_task(
     canonical partition order, so the fold order never depends on which
     worker ran what.
 
-    Under ``engine="reference"`` the shard's partitions run interleaved
-    through :func:`advance_bounded_lag`; the fast engine runs each
-    partition's columnar batch whole (partitions share no object state,
-    so the schedules are observably equivalent -- pinned by the
-    engine-invariance test).
+    Each partition runs whole through :func:`run_simulation`, on either
+    engine: partitions share no object state, so running them one after
+    another is all a shard does.
     """
-    trace = cached_trace(profile, seed)
-    owned = plan.partitions_of_shard(shard)
-    sub_traces = split_trace(trace, plan)
+    import numpy as np
 
-    telemetry_for = {}
-    runs: list[tuple[int, SimulationStepper | SimMetrics]] = []
-    for partition in owned:
-        architecture = partition_spec(spec, partition).build()
-        architecture.bind_shard(plan.shard_info(partition))
+    trace = cached_trace(profile, seed)
+    sub_traces = split_trace(trace, plan)
+    results = []
+    for partition in plan.partitions_of_shard(shard):
+        sub = sub_traces[partition]
         telemetry = None
         if collect_timeline:
             from repro.obs.telemetry import RunTelemetry
 
             telemetry = RunTelemetry(bin_s=timeline_bin_s)
-            telemetry_for[partition] = telemetry
-        runs.append(
-            (
-                partition,
-                _simulate_partition(
-                    sub_traces[partition],
-                    architecture,
-                    warmup_s=warmup_s,
-                    include_uncachable=include_uncachable,
-                    fault_plan=fault_plan,
-                    telemetry=telemetry,
-                    engine=engine,
-                ),
-            )
+        metrics = run_simulation(
+            sub,
+            partition_spec(spec, partition).build(),
+            warmup_s=warmup_s,
+            include_uncachable=include_uncachable,
+            fault_plan=fault_plan,
+            telemetry=telemetry,
+            engine=engine,
         )
-    advance_bounded_lag(
-        [run for _, run in runs if isinstance(run, SimulationStepper)],
-        plan.clock_lag_s,
-    )
-
-    results = []
-    for partition, run in runs:
-        metrics = run.finish() if isinstance(run, SimulationStepper) else run
-        rows = (
-            list(telemetry_for[partition].rows) if collect_timeline else None
-        )
-        results.append(
-            (
-                partition,
-                metrics,
-                rows,
-                sub_traces[partition].distinct_objects(),
-            )
-        )
+        rows = list(telemetry.rows) if telemetry is not None else None
+        objects = int(np.unique(sub.columns().object).size)
+        results.append((partition, metrics, rows, objects))
     return results
 
 
@@ -395,7 +292,6 @@ def run_comparison_sharded(
     *,
     shards: int,
     virtual_partitions: int = DEFAULT_VIRTUAL_PARTITIONS,
-    clock_lag_s: float = 3600.0,
     jobs: int = 1,
     warmup_s: float | None = None,
     include_uncachable: bool = False,
@@ -411,8 +307,8 @@ def run_comparison_sharded(
     per architecture per shard; ``jobs=1`` runs them inline) and merges
     the per-partition outputs in canonical partition order.  Results are
     bit-identical for any ``shards`` (given the same
-    ``virtual_partitions``), any ``jobs``, and any ``clock_lag_s`` --
-    the shard-count-invariance pins assert exactly this.
+    ``virtual_partitions``) and any ``jobs`` -- the shard-count-invariance
+    pins assert exactly this.  This is the only sharded entry point.
 
     ``timeline_dir`` mirrors the parallel runner: merged per-bin rows
     land in ``<timeline_dir>/<architecture>.jsonl``, canonical JSONL,
@@ -420,11 +316,7 @@ def run_comparison_sharded(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    plan = ShardPlan(
-        shards=shards,
-        virtual_partitions=virtual_partitions,
-        clock_lag_s=clock_lag_s,
-    )
+    plan = ShardPlan(shards=shards, virtual_partitions=virtual_partitions)
     if engine == "fast":
         # Same pre-flight as the parallel runner: fail with the serial
         # path's error before any worker is spawned.

@@ -178,16 +178,27 @@ def _run_simulation(
         # Residual dispatch: audit checkpoints (and pre-attached fault or
         # audit state) run the per-request loop below -- the fastpath
         # module's sanctioned residual.
-    stepper = SimulationStepper(
-        trace,
-        architecture,
-        warmup_s=warmup_s,
-        include_uncachable=include_uncachable,
-        fault_plan=fault_plan,
-        journey_sink=journey_sink,
-        telemetry=telemetry,
-        audit=audit,
+    boundary = trace.warmup if warmup_s is None else warmup_s
+    metrics = SimMetrics(
+        architecture=architecture.name,
+        cost_model=architecture.cost_model.name,
     )
+    injector = None
+    if fault_plan is not None and fault_plan:
+        from repro.faults.injector import FaultInjector
+
+        injector = FaultInjector(fault_plan)
+        injector.bind(architecture)
+    if telemetry is not None:
+        telemetry.begin(architecture, injector=injector)
+    if audit is not None:
+        audit.begin(
+            architecture,
+            trace,
+            injector=injector,
+            include_uncachable=include_uncachable,
+        )
+    processed = 0
     # The profiler, like the other observers, costs one pointer check per
     # run when detached; the loop itself is never touched per-request.
     profiler = profiling.active()
@@ -197,103 +208,7 @@ def _run_simulation(
         else nullcontext()
     )
     with loop_span:
-        stepper.advance()
-    return stepper.finish()
-
-
-class SimulationStepper:
-    """Incremental form of the reference loop: run a simulation in slices.
-
-    Construction performs the run prologue (metrics, fault injector,
-    ``telemetry.begin``/``audit.begin``); :meth:`advance` processes every
-    request with ``time <= until`` (all remaining for ``until=None``); and
-    :meth:`finish` -- legal only once the trace is drained -- performs the
-    epilogue and returns the :class:`~repro.sim.metrics.SimMetrics`.  A
-    full-drain ``advance()`` followed by ``finish()`` is the reference
-    loop, request for request: :func:`run_simulation` itself runs through
-    this class.
-
-    The slicing exists for the sharded runner's bounded-lag virtual
-    clock: a worker holding several partitions round-robins their
-    steppers in fixed partition order, advancing each to a shared time
-    horizon, so no partition's clock ever runs more than the lag window
-    ahead of the slowest -- cross-partition interleaving can never
-    reorder any observable state transition.
-    """
-
-    def __init__(
-        self,
-        trace: Trace,
-        architecture: Architecture,
-        *,
-        warmup_s: float | None = None,
-        include_uncachable: bool = False,
-        fault_plan: "FaultPlan | None" = None,
-        journey_sink: "JourneySink | None" = None,
-        telemetry: "RunTelemetry | None" = None,
-        audit: "AuditHooks | None" = None,
-    ) -> None:
-        self.trace = trace
-        self.architecture = architecture
-        self._boundary = trace.warmup if warmup_s is None else warmup_s
-        self._include_uncachable = include_uncachable
-        self.metrics = SimMetrics(
-            architecture=architecture.name,
-            cost_model=architecture.cost_model.name,
-        )
-        self._injector = None
-        if fault_plan is not None and fault_plan:
-            from repro.faults.injector import FaultInjector
-
-            self._injector = FaultInjector(fault_plan)
-            self._injector.bind(architecture)
-        self._journey_sink = journey_sink
-        self._telemetry = telemetry
-        self._audit = audit
-        if telemetry is not None:
-            telemetry.begin(architecture, injector=self._injector)
-        if audit is not None:
-            audit.begin(
-                architecture,
-                trace,
-                injector=self._injector,
-                include_uncachable=include_uncachable,
-            )
-        self._iterator = iter(trace.requests)
-        self._pending = next(self._iterator, None)
-        self._processed = 0
-        self._finished = False
-
-    @property
-    def next_time(self) -> float | None:
-        """Simulated time of the next unprocessed request (None = drained)."""
-        return self._pending.time if self._pending is not None else None
-
-    @property
-    def exhausted(self) -> bool:
-        """True once every trace request has passed through :meth:`advance`."""
-        return self._pending is None
-
-    def advance(self, until: float | None = None) -> int:
-        """Process every remaining request with ``time <= until``.
-
-        ``None`` drains the trace.  Returns the number of requests the
-        architecture processed in this slice (skipped uncachable/error
-        requests advance the clock but do not count).
-        """
-        if self._finished:
-            raise ValueError("stepper already finished")
-        metrics = self.metrics
-        architecture = self.architecture
-        telemetry = self._telemetry
-        injector = self._injector
-        audit = self._audit
-        journey_sink = self._journey_sink
-        boundary = self._boundary
-        include_uncachable = self._include_uncachable
-        done = 0
-        request = self._pending
-        while request is not None and (until is None or request.time <= until):
+        for request in trace.requests:
             # The simulated clock advances with *every* request, skipped or
             # not: timeline bins close and scheduled crash/recover events
             # fire as trace time passes, never stalled behind a run of
@@ -303,67 +218,44 @@ class SimulationStepper:
                 telemetry.advance(request.time)
             if injector is not None:
                 injector.advance(request.time)
-            skip = False
             if request.error:
                 if not include_uncachable:
                     metrics.skipped_error += 1
-                    skip = True
-                else:
-                    metrics.included_error += 1
+                    continue
+                metrics.included_error += 1
             elif not request.cacheable:
                 # ``elif``: a request that is both error and uncachable counts
                 # once, under its error class -- mirroring the skip path's
                 # precedence so the two counter pairs partition identically.
                 if not include_uncachable:
                     metrics.skipped_uncachable += 1
-                    skip = True
-                else:
-                    metrics.included_uncachable += 1
-            if not skip:
-                result = architecture.process(request)
-                done += 1
-                if audit is not None:
-                    audit.on_result(
-                        request, result, measured=request.time >= boundary
-                    )
-                if request.time < boundary:
-                    metrics.warmup_requests += 1
-                    if telemetry is not None:
-                        telemetry.observe(request, result, measured=False)
-                else:
-                    metrics.record(
-                        result,
-                        request.size,
-                        faulted=injector is not None and injector.faults_active,
-                    )
-                    if telemetry is not None:
-                        telemetry.observe(request, result, measured=True)
-                    if journey_sink is not None:
-                        journey_sink.emit(
-                            metrics.measured_requests - 1, request, result
-                        )
-            request = next(self._iterator, None)
-        self._pending = request
-        self._processed += done
-        return done
-
-    def finish(self) -> SimMetrics:
-        """Run epilogue: close observers, validate, return metrics (idempotent)."""
-        if self._finished:
-            return self.metrics
-        if self._pending is not None:
-            raise ValueError(
-                f"cannot finish with a request pending at "
-                f"t={self._pending.time}; advance() until exhausted first"
+                    continue
+                metrics.included_uncachable += 1
+            result = architecture.process(request)
+            processed += 1
+            if audit is not None:
+                audit.on_result(request, result, measured=request.time >= boundary)
+            if request.time < boundary:
+                metrics.warmup_requests += 1
+                if telemetry is not None:
+                    telemetry.observe(request, result, measured=False)
+                continue
+            metrics.record(
+                result,
+                request.size,
+                faulted=injector is not None and injector.faults_active,
             )
-        self.architecture.processed_requests += self._processed
-        if self._telemetry is not None:
-            self._telemetry.finish(self.trace.duration)
-        if self._audit is not None:
-            self._audit.finish(self.metrics, telemetry=self._telemetry)
-        self.metrics.validate(expected_requests=len(self.trace.requests))
-        self._finished = True
-        return self.metrics
+            if telemetry is not None:
+                telemetry.observe(request, result, measured=True)
+            if journey_sink is not None:
+                journey_sink.emit(metrics.measured_requests - 1, request, result)
+    architecture.processed_requests += processed
+    if telemetry is not None:
+        telemetry.finish(trace.duration)
+    if audit is not None:
+        audit.finish(metrics, telemetry=telemetry)
+    metrics.validate(expected_requests=len(trace.requests))
+    return metrics
 
 
 def run_comparison(

@@ -16,8 +16,13 @@ from repro.hierarchy.hint_hierarchy import HintHierarchy
 from repro.netmodel.testbed import TestbedCostModel
 from repro.obs import profiling
 from repro.obs.profiling import SpanProfiler, aggregate_spans, span_structure
-from repro.runner.parallel import ArchitectureSpec, run_comparison_parallel
+from repro.runner.parallel import (
+    ArchitectureSpec,
+    run_comparison_parallel,
+    run_experiments,
+)
 from repro.runner.trace_cache import TraceCache, get_trace_cache, set_trace_cache
+from repro.sim.config import default_config
 
 
 def specs(config):
@@ -120,3 +125,20 @@ def test_aggregated_tables_structurally_identical(tmp_path):
             )
         ]
     assert tables[1] == tables[4]
+
+
+def test_run_experiments_records_one_span_per_experiment():
+    profiler = SpanProfiler()
+    try:
+        with profiling.attached(profiler):
+            run_experiments(["table3"], default_config().with_scale(0.0002))
+    finally:
+        profiler.close()
+    spans = [
+        span
+        for root in profiler.roots
+        for span in root.walk()
+        if span.name == "experiment"
+    ]
+    assert len(spans) == 1
+    assert spans[0].attrs["experiment"] == "table3"

@@ -1,26 +1,27 @@
-"""Sharded runner: shard-count invariance is the whole contract.
+"""Sharded runner: shard-count invariance, and exactness where it holds.
 
 The headline pins: ``run_comparison_sharded(shards=1)`` and
 ``shards=4`` produce *equal* :class:`SimMetrics` (full dataclass
 equality, histograms included) and byte-identical timeline files, for
-any job count, any bounded-lag window, under replacement-policy
-pressure, and under fault plans.  Partitions share no object state and
-the coordinator folds them in canonical order, so nothing about the
-physical layout may leak into results.
+any job count, under replacement-policy pressure, and under fault
+plans.  Partitions share no object state and the coordinator folds them
+in canonical order, so nothing about the physical layout may leak into
+results.  With unbounded caches the standard four architectures keep
+their state per object, so a sharded run also equals the unsharded one.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import filecmp
+import math
 import os
 
 import pytest
 
 from repro.cache.policy import PolicySpec
-from repro.common.errors import ShardRoutingError
 from repro.common.ids import mix64, partition_of_object, partitions_of_objects
 from repro.faults import FaultPlan, NodeCrash, OriginSlowdown
-from repro.hierarchy.base import ShardInfo
 from repro.hierarchy.data_hierarchy import DataHierarchy
 from repro.hierarchy.directory_arch import CentralizedDirectoryArchitecture
 from repro.hierarchy.hint_hierarchy import HintHierarchy
@@ -28,13 +29,14 @@ from repro.hierarchy.icp import IcpHierarchy
 from repro.netmodel.testbed import TestbedCostModel
 from repro.runner.sharding import (
     ShardPlan,
-    advance_bounded_lag,
     partition_spec,
     run_comparison_sharded,
     split_trace,
 )
 from repro.runner.specs import ArchitectureSpec
-from repro.sim.engine import SimulationStepper
+from repro.runner.trace_cache import cached_trace
+from repro.sim.engine import run_comparison
+from repro.sim.metrics import LatencyHistogram
 from tests.conftest import make_tiny_config
 
 ARCHITECTURES = {
@@ -62,17 +64,19 @@ class TestShardPlan:
         with pytest.raises(ValueError, match="virtual_partitions"):
             ShardPlan(shards=5, virtual_partitions=4)
 
-    def test_rejects_non_positive_lag(self):
-        with pytest.raises(ValueError, match="clock_lag_s"):
-            ShardPlan(shards=1, clock_lag_s=0.0)
-
-    @pytest.mark.parametrize("shards", [1, 2, 3, 4, 7, 16])
-    def test_ownership_partitions_the_partition_set(self, shards):
-        plan = ShardPlan(shards=shards, virtual_partitions=16)
+    @pytest.mark.parametrize(
+        "shards, virtual",
+        [pytest.param(shards, 16, id=str(shards)) for shards in range(1, 17)]
+        + [pytest.param(8, 64, id="8-of-64")],
+    )
+    def test_ownership_partitions_the_partition_set(self, shards, virtual):
+        plan = ShardPlan(shards=shards, virtual_partitions=virtual)
         owned = [plan.partitions_of_shard(shard) for shard in range(shards)]
-        flat = sorted(p for group in owned for p in group)
-        assert flat == list(range(16))  # every partition exactly once
+        flat = [p for group in owned for p in group]
+        # Every partition exactly once, in contiguous ascending ranges.
+        assert flat == list(range(virtual))
         for shard, group in enumerate(owned):
+            assert len(group) in (virtual // shards, -(-virtual // shards))
             for partition in group:
                 assert plan.owner_of(partition) == shard
 
@@ -86,11 +90,6 @@ class TestShardPlan:
             plan.owner_of(8)
         with pytest.raises(ValueError, match="shard"):
             plan.partitions_of_shard(2)
-
-    def test_shard_info_round_trip(self):
-        plan = ShardPlan(shards=2, virtual_partitions=8)
-        info = plan.shard_info(3)
-        assert info == ShardInfo(partition=3, virtual_partitions=8)
 
 
 class TestPartitionHashing:
@@ -154,27 +153,6 @@ class TestSplitTrace:
             assert (times[1:] >= times[:-1]).all()
 
 
-class TestBoundedLag:
-    def test_lag_window_yields_full_drain_metrics(self, dec_trace, tiny_config):
-        plan = ShardPlan(shards=1, virtual_partitions=4, clock_lag_s=60.0)
-        subs = split_trace(dec_trace, plan)
-
-        def steppers():
-            return [
-                SimulationStepper(
-                    sub, DataHierarchy(tiny_config.topology, TestbedCostModel())
-                )
-                for sub in subs
-            ]
-
-        round_robin = steppers()
-        advance_bounded_lag(round_robin, lag_s=60.0)
-        one_shot = steppers()
-        advance_bounded_lag(one_shot, lag_s=10 * dec_trace.duration)
-        for tight, loose in zip(round_robin, one_shot):
-            assert tight.finish() == loose.finish()
-
-
 @pytest.fixture(scope="module")
 def tiny_comparisons(tmp_path_factory):
     """shards=1 and shards=4 runs of the full matrix (shared, read-only)."""
@@ -218,17 +196,6 @@ class TestShardCountInvariance:
         for comparison in tiny_comparisons.values():
             assert sum(comparison.partition_requests) == len(dec_trace.requests)
             comparison.results["hierarchy"].validate()
-
-    def test_lag_value_never_changes_results(self, tiny_comparisons):
-        config = make_tiny_config()
-        tight = run_comparison_sharded(
-            config.profile("dec"),
-            config.seed,
-            standard_specs(config),
-            shards=3,
-            clock_lag_s=5.0,
-        )
-        assert tight.results == tiny_comparisons[1].results
 
     def test_jobs_and_timeline_files_identical(self, tmp_path, tiny_comparisons):
         config = make_tiny_config()
@@ -342,39 +309,72 @@ class TestShardCountInvariance:
             )
 
 
-class TestShardRouting:
-    def test_misrouted_request_raises(self, dec_trace, tiny_config):
-        plan = ShardPlan(shards=4, virtual_partitions=16)
-        architecture = DataHierarchy(tiny_config.topology, TestbedCostModel())
-        architecture.bind_shard(plan.shard_info(0))
-        foreign = next(
-            r
-            for r in dec_trace.requests
-            if partition_of_object(r.object_id, 16) != 0
+def assert_metrics_match(unsharded, sharded, path):
+    """Counters, labels and histogram bins exactly; floats to 1e-12 relative.
+
+    Float totals may differ in the last bits: the sharded run sums each
+    partition separately, then folds the partition totals.
+    """
+    if isinstance(unsharded, float):
+        assert math.isclose(unsharded, sharded, rel_tol=1e-12, abs_tol=0.0), path
+    elif isinstance(unsharded, LatencyHistogram):
+        assert unsharded == sharded, path
+    elif dataclasses.is_dataclass(unsharded):
+        for field in dataclasses.fields(unsharded):
+            assert_metrics_match(
+                getattr(unsharded, field.name),
+                getattr(sharded, field.name),
+                f"{path}.{field.name}",
+            )
+    elif isinstance(unsharded, dict):
+        assert set(unsharded) == set(sharded), path
+        for key, value in unsharded.items():
+            assert_metrics_match(value, sharded[key], f"{path}[{key}]")
+    else:
+        assert type(unsharded) is type(sharded) and unsharded == sharded, path
+
+
+class TestExactness:
+    """With unbounded caches, sharding the standard four changes no result.
+
+    Each of them keeps its cache state per object, so partitioning the
+    object space is exact.  Hints with push-1 is left out on purpose: its
+    push RNG stream is shared across objects, so its sharded run is only
+    approximate.
+    """
+
+    @pytest.mark.parametrize("faulted", [False, True], ids=["clean", "faulted"])
+    def test_sharded_equals_unsharded(self, faulted):
+        config = make_tiny_config()
+        fault_plan = (
+            FaultPlan(
+                events=(
+                    NodeCrash(time=0.0, kind="l2", node=0),
+                    OriginSlowdown(time=3600.0, factor=2.0),
+                ),
+                seed=config.seed,
+            )
+            if faulted
+            else None
         )
-        with pytest.raises(ShardRoutingError, match="does not own"):
-            architecture.process(foreign)
-
-    def test_owned_request_processes(self, dec_trace, tiny_config):
-        architecture = DataHierarchy(tiny_config.topology, TestbedCostModel())
-        info = ShardInfo(partition=0, virtual_partitions=16)
-        architecture.bind_shard(info)
-        owned = next(
-            r for r in dec_trace.requests if info.owns(r.object_id)
+        specs = standard_specs(config)
+        sharded = run_comparison_sharded(
+            config.profile("dec"),
+            config.seed,
+            specs,
+            shards=2,
+            fault_plan=fault_plan,
+            engine="auto",
         )
-        result = architecture.process(owned)
-        assert result.time_ms >= 0
-
-    def test_bind_shard_rejects_warmed_architecture(self, dec_trace, tiny_config):
-        from repro.sim.engine import run_simulation
-
-        architecture = DataHierarchy(tiny_config.topology, TestbedCostModel())
-        run_simulation(dec_trace, architecture)
-        with pytest.raises(ValueError, match="processed"):
-            architecture.bind_shard(ShardInfo(partition=0, virtual_partitions=16))
-
-    def test_shard_info_validates(self):
-        with pytest.raises(ValueError):
-            ShardInfo(partition=4, virtual_partitions=4)
-        with pytest.raises(ValueError):
-            ShardInfo(partition=-1, virtual_partitions=4)
+        unsharded = run_comparison(
+            cached_trace(config.profile("dec"), config.seed),
+            [spec.build() for spec in specs],
+            fault_plan=fault_plan,
+            engine="auto",
+        )
+        assert list(sharded.results) == list(unsharded) == list(ARCHITECTURES)
+        for name, metrics in unsharded.items():
+            assert_metrics_match(metrics, sharded.results[name], name)
+        if faulted:
+            degraded = unsharded["hierarchy"].degraded
+            assert degraded.fault_added_ms > 0 or degraded.timeout_fallbacks > 0
