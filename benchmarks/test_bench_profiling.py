@@ -6,7 +6,8 @@ Three claims are pinned:
   instrumented site pays one module-pointer check per *run* (never per
   request); an uninstrumented twin of the engine loop (no telemetry,
   audit, or profiling branches at all) must run within a 3% budget of
-  the real ``run_simulation`` with nothing attached.  This is the
+  the real ``run_simulation`` with nothing attached, on the loop it
+  twins (``engine="reference"``).  This is the
   headline ``BENCH_HISTORY.jsonl`` tracks and the floor
   ``python -m repro.obs.perf`` re-checks on the committed file.
 * **Attached profiling is invisible to results.** Running under
@@ -55,12 +56,12 @@ def bench_stages(config):
                 baseline = run_uninstrumented(trace, build())
             timings[name]["uninstrumented"].append(watch.elapsed)
             with Stopwatch() as watch:
-                detached = run_simulation(trace, build())
+                detached = run_simulation(trace, build(), engine="reference")
             timings[name]["detached"].append(watch.elapsed)
             profiler = profiling.SpanProfiler()
             with profiling.attached(profiler):
                 with Stopwatch() as watch:
-                    attached = run_simulation(trace, build())
+                    attached = run_simulation(trace, build(), engine="reference")
             profiler.close()
             timings[name]["attached"].append(watch.elapsed)
             assert detached.summary() == baseline.summary(), name

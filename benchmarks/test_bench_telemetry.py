@@ -7,7 +7,8 @@ Three claims are pinned:
   site (telemetry *and* audit) and the caches bump plain int counters;
   an uninstrumented twin of the engine loop (no telemetry or audit
   branches at all) must run within a 2% budget of the real
-  ``run_simulation`` called with ``telemetry=None, audit=None``.
+  ``run_simulation`` called with ``telemetry=None, audit=None`` on the
+  loop it twins, ``engine="reference"``.
 * **Enabled telemetry is cheap and invisible.** Attaching a
   :class:`~repro.obs.telemetry.RunTelemetry` must not change a single
   metric, and its wall-clock overhead is recorded (not bounded -- binning
@@ -102,15 +103,19 @@ def bench_stages(config):
                 baseline = run_uninstrumented(trace, build())
             timings[name]["uninstrumented"].append(watch.elapsed)
             with Stopwatch() as watch:
-                off = run_simulation(trace, build())
+                off = run_simulation(trace, build(), engine="reference")
             timings[name]["off"].append(watch.elapsed)
             telemetry = RunTelemetry()
             with Stopwatch() as watch:
-                on = run_simulation(trace, build(), telemetry=telemetry)
+                on = run_simulation(
+                    trace, build(), telemetry=telemetry, engine="reference"
+                )
             timings[name]["on"].append(watch.elapsed)
             hooks = AuditHooks(check_every=512)
             with Stopwatch() as watch:
-                audited = run_simulation(trace, build(), audit=hooks)
+                audited = run_simulation(
+                    trace, build(), audit=hooks, engine="reference"
+                )
             timings[name]["audit"].append(watch.elapsed)
             assert off.summary() == baseline.summary(), name
             assert off.summary() == on.summary(), name

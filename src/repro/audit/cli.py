@@ -191,7 +191,12 @@ def _audit_cell(trace, build, plan, *, label: str) -> tuple[list[str], int]:
     metrics = None
     try:
         metrics = run_simulation(
-            trace, build(), fault_plan=plan, telemetry=telemetry, audit=hooks
+            trace,
+            build(),
+            fault_plan=plan,
+            telemetry=telemetry,
+            audit=hooks,
+            engine="reference",
         )
     except AuditError as error:
         problems.append(f"matrix {label}: {error}")

@@ -325,6 +325,7 @@ def run_engine_differential(
         fault_plan=fault_plan,
         journey_sink=sink,
         audit=AuditHooks() if audit else None,
+        engine="reference",
     )
     expected = oracle_data_hierarchy_run(
         trace,

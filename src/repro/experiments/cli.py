@@ -14,6 +14,14 @@ so later runs (and sibling workers) reload instead of regenerating.  Both
 change only wall-clock: results are identical for any job count, and the
 run summary printed at the end shows per-stage timings plus the trace-cache
 counters (a warm-cache run reports ``trace generations this run: 0``).
+
+Every command -- the experiments and the ``decompose``/``timeline``/
+``profile`` verbs alike -- simulates with the library default
+``engine="auto"``: the columnar kernels of :mod:`repro.sim.fastpath`
+wherever one exists, the per-request reference loop otherwise.  The two
+produce byte-identical metrics, so no option selects between them; the
+reference loop is the oracle of the parity tests and ``python -m
+repro.audit``.
 """
 
 from __future__ import annotations
@@ -121,14 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
         "results never depend on the shard count, but with --policy "
         "capacities they depend on V, so keep V pinned when comparing "
         "runs",
-    )
-    parser.add_argument(
-        "--engine", choices=("reference", "fast", "auto"), default="reference",
-        help="simulation engine for the 'decompose'/'timeline'/'profile' "
-        "verbs: 'fast' runs the columnar batch engine (metric-identical; "
-        "every standard architecture has a vectorized kernel), 'auto' "
-        "falls back to the reference loop where no kernel exists "
-        "(default: reference)",
     )
     parser.add_argument(
         "--out", default=None, metavar="OUT.json",
@@ -440,7 +440,6 @@ def _sharded_comparison(args, config, profile_name, specs, timeline_dir=None):
         trace_cache_dir=args.trace_cache,
         timeline_dir=timeline_dir,
         timeline_bin_s=args.bin,
-        engine=args.engine,
     )
 
 
@@ -517,7 +516,6 @@ def _run_profile(args) -> int:
                 category="cli",
                 profile=profile_name,
                 jobs=args.jobs,
-                engine=args.engine,
             ):
                 results = run_comparison_parallel(
                     config.profile(profile_name),
@@ -527,7 +525,6 @@ def _run_profile(args) -> int:
                     trace_cache_dir=args.trace_cache,
                     timeline_dir=timeline_dir,
                     timeline_bin_s=args.bin,
-                    engine=args.engine,
                     profile_memory=args.memory,
                 )
         sim_rows = None
@@ -551,10 +548,7 @@ def _run_profile(args) -> int:
         profiling.format_profile_table(
             profiling.aggregate_spans(profiler.roots),
             total_s=wall.elapsed,
-            title=(
-                f"host profile ({profile_name}, jobs={args.jobs}, "
-                f"engine={args.engine})"
-            ),
+            title=f"host profile ({profile_name}, jobs={args.jobs})",
         )
     )
     print(f"[chrome trace written to {out_path}; open at https://ui.perfetto.dev]")
@@ -635,7 +629,7 @@ def _run_decompose(args) -> int:
         for architecture in architectures:
             sink.architecture = architecture.name
             results[architecture.name] = run_simulation(
-                trace, architecture, journey_sink=sink, engine=args.engine
+                trace, architecture, journey_sink=sink
             )
     print(
         format_decomposition_table(
@@ -736,7 +730,7 @@ def _run_timeline(args) -> int:
         for architecture in architectures:
             telemetry = RunTelemetry(registry, bin_s=args.bin)
             results[architecture.name] = run_simulation(
-                trace, architecture, telemetry=telemetry, engine=args.engine
+                trace, architecture, telemetry=telemetry
             )
             rows.extend(telemetry.rows)
     out_path = args.timeline if args.timeline is not None else "timeline.jsonl"

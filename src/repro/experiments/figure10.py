@@ -23,7 +23,7 @@ from repro.experiments.base import ExperimentResult, resolve_config, trace_for
 from repro.hierarchy.data_hierarchy import DataHierarchy
 from repro.hierarchy.hint_hierarchy import HintHierarchy
 from repro.netmodel import cost_model_by_name
-from repro.push.base import PushPolicy
+from repro.push.base import PushPolicy, PushStats
 from repro.push.hierarchical import HierarchicalPushOnMiss
 from repro.push.update_push import UpdatePush
 from repro.sim.config import ExperimentConfig
@@ -45,11 +45,17 @@ def _policies(config: ExperimentConfig) -> list[PushPolicy | None]:
 
 def run_systems(
     config: ExperimentConfig, profile_name: str, cost_name: str
-) -> dict[str, tuple[SimMetrics, HintHierarchy | None]]:
-    """Run every Figure 10 system for one cost model; keyed by system name."""
+) -> dict[str, tuple[SimMetrics, PushStats | None]]:
+    """Run every Figure 10 system for one cost model; keyed by system name.
+
+    Each value pairs the system's metrics with its hint hierarchy's push
+    accounting (``None`` for the data hierarchy).  No architecture
+    outlives the call: their caches dwarf everything Figures 10 and 11
+    read from them.
+    """
     trace = trace_for(config, profile_name)
     cost = cost_model_by_name(cost_name)
-    results: dict[str, tuple[SimMetrics, HintHierarchy | None]] = {}
+    results: dict[str, tuple[SimMetrics, PushStats | None]] = {}
 
     hierarchy = DataHierarchy(
         config.topology, cost,
@@ -66,7 +72,7 @@ def run_systems(
             hint_capacity_bytes=config.hint_store_bytes,
             push_policy=policy,
         )
-        results[arch.name] = (run_simulation(trace, arch), arch)
+        results[arch.name] = (run_simulation(trace, arch), arch.push_stats)
 
     ideal = HintHierarchy(
         config.topology, cost,
@@ -74,7 +80,7 @@ def run_systems(
         hint_capacity_bytes=None,
         charge_remote_as_l1=True,
     )
-    results[ideal.name] = (run_simulation(trace, ideal), ideal)
+    results[ideal.name] = (run_simulation(trace, ideal), ideal.push_stats)
     return results
 
 
@@ -88,7 +94,7 @@ def run(
         systems = run_systems(config, profile_name, cost_name)
         hierarchy_ms = systems["hierarchy"][0].mean_response_ms
         hints_ms = systems["hints"][0].mean_response_ms
-        for name, (metrics, _arch) in systems.items():
+        for name, (metrics, _push_stats) in systems.items():
             rows.append(
                 {
                     "cost_model": cost_name,

@@ -34,11 +34,10 @@ def run(
     """Measure push efficiency and bandwidth for each algorithm."""
     config = resolve_config(config)
     systems = run_systems(config, profile_name, cost_name)
-    demand_only_bw = systems["hints"][1].push_stats.demand_bandwidth_bytes_per_s()
+    demand_only_bw = systems["hints"][1].demand_bandwidth_bytes_per_s()
     rows = []
     for name in PUSH_SYSTEMS:
-        _metrics, arch = systems[name]
-        stats = arch.push_stats
+        _metrics, stats = systems[name]
         total_bw = stats.push_bandwidth_bytes_per_s() + stats.demand_bandwidth_bytes_per_s()
         rows.append(
             {

@@ -245,7 +245,7 @@ def _comparison_task(
     include_uncachable: bool = False,
     timeline_dir: str | None = None,
     timeline_bin_s: float = 3600.0,
-    engine: str = "reference",
+    engine: str = "auto",
     profiled: bool = False,
     profile_memory: bool = False,
 ) -> tuple[SimMetrics, "profiling.ProfileShard | None"]:
@@ -383,7 +383,7 @@ def run_comparison_parallel(
     journey_dir: str | None = None,
     timeline_dir: str | None = None,
     timeline_bin_s: float = 3600.0,
-    engine: str = "reference",
+    engine: str = "auto",
     profile_memory: bool = False,
 ) -> dict[str, SimMetrics]:
     """Parallel twin of :func:`repro.sim.engine.run_comparison`.
@@ -410,11 +410,12 @@ def run_comparison_parallel(
     function of (trace, architecture, plan), so these files too are
     byte-identical for any ``jobs`` value.
 
-    ``engine`` forwards to every :func:`~repro.sim.engine.run_simulation`;
-    since the fast engine is metric-identical to the reference, results
-    stay jobs- *and* engine-invariant.  ``engine="fast"`` with an
-    architecture that has no vectorized kernel raises the same clean
-    :class:`ValueError` the serial path (and the CLI) raises -- checked
+    ``engine`` (default ``"auto"``) forwards to every
+    :func:`~repro.sim.engine.run_simulation`; since the fast engine is
+    metric-identical to the reference, results stay jobs- *and*
+    engine-invariant.  ``engine="fast"`` with an architecture that has
+    no vectorized kernel raises the same clean :class:`ValueError` the
+    serial path raises -- checked
     up front, before any worker process is spawned, so the failure never
     surfaces as an opaque in-worker traceback.
 

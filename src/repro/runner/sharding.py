@@ -299,7 +299,7 @@ def run_comparison_sharded(
     fault_plan: "FaultPlan | None" = None,
     timeline_dir: str | None = None,
     timeline_bin_s: float = 3600.0,
-    engine: str = "reference",
+    engine: str = "auto",
 ) -> ShardedComparison:
     """Sharded twin of :func:`~repro.runner.parallel.run_comparison_parallel`.
 

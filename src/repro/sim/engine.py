@@ -40,7 +40,7 @@ def run_simulation(
     journey_sink: "JourneySink | None" = None,
     telemetry: "RunTelemetry | None" = None,
     audit: "AuditHooks | None" = None,
-    engine: str = "reference",
+    engine: str = "auto",
 ) -> SimMetrics:
     """Drive ``architecture`` over ``trace`` and return aggregated metrics.
 
@@ -90,17 +90,19 @@ def run_simulation(
             :class:`repro.audit.hooks.AuditError` on the first breakage.
             ``None`` (the default) costs one pointer check per site and
             leaves results byte-identical to an un-audited run.
-        engine: ``"reference"`` (default) runs the per-request loop below.
-            ``"fast"`` runs :mod:`repro.sim.fastpath`'s columnar batch
-            engine, which produces byte-identical metrics.  Fault plans
-            are vectorized too: the batch driver splits spans at every
-            scheduled event and falls back to a per-request residual only
-            inside active fault windows.  Audit hooks (checkpoints walk
-            live state between requests) and architectures carrying
-            pre-attached fault/audit state still dispatch back to this
-            loop; an architecture without a vectorized kernel raises.
-            ``"auto"`` is ``"fast"`` where supported and ``"reference"``
-            otherwise, never raising.
+        engine: ``"auto"`` (default) is ``"fast"`` where supported and
+            ``"reference"`` otherwise, never raising.  ``"fast"`` runs
+            :mod:`repro.sim.fastpath`'s columnar batch engine, which
+            produces byte-identical metrics.  Fault plans are vectorized
+            too: the batch driver splits spans at every scheduled event
+            and falls back to a per-request residual only inside active
+            fault windows.  Audit hooks (checkpoints walk live state
+            between requests) and architectures carrying pre-attached
+            fault/audit state still dispatch back to this loop; an
+            architecture without a vectorized kernel raises.
+            ``"reference"`` always runs the per-request loop below: it is
+            the oracle the parity tests and :mod:`repro.audit` hold the
+            fast engine to.
     """
     if engine not in ("reference", "fast", "auto"):
         raise ValueError(
@@ -267,7 +269,7 @@ def run_comparison(
     fault_plan: "FaultPlan | None" = None,
     journey_sink: "JourneySink | None" = None,
     audit: "AuditHooks | None" = None,
-    engine: str = "reference",
+    engine: str = "auto",
 ) -> dict[str, SimMetrics]:
     """Run several architectures over the same trace (fresh state each).
 

@@ -99,7 +99,12 @@ def test_clock_advances_through_skipped_requests(monkeypatch):
 
     # Injector-only run: the engine is the sole advance() caller, so the
     # spy must record exactly one call per trace request.
-    run_simulation(trace, DataHierarchy(TOPOLOGY, TestbedCostModel()), fault_plan=plan)
+    run_simulation(
+        trace,
+        DataHierarchy(TOPOLOGY, TestbedCostModel()),
+        fault_plan=plan,
+        engine="reference",
+    )
     assert injector_times == expected
 
     # Telemetry run: RunTelemetry.advance is likewise engine-only.  (The
@@ -110,6 +115,7 @@ def test_clock_advances_through_skipped_requests(monkeypatch):
         DataHierarchy(TOPOLOGY, TestbedCostModel()),
         fault_plan=plan,
         telemetry=RunTelemetry(bin_s=100.0),
+        engine="reference",
     )
     assert telemetry_times == expected
     # The crash scheduled inside the skipped run did fire (and recover).

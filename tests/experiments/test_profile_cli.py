@@ -23,12 +23,14 @@ class TestProfileVerb:
         assert match, stdout
         assert abs(float(match.group(1)) - 100.0) <= 1.0
         # The written artifact is a valid Chrome trace with the
-        # documented nesting: profile_run > comparison > task > simulate.
+        # documented nesting: profile_run > comparison > task > simulate,
+        # and the verb runs the fast engine's batches, never the
+        # per-request reference loop.
         payload = json.loads(out.read_text())
         assert check_chrome_trace(payload) == []
         names = {e["name"] for e in payload["traceEvents"] if e["ph"] == "X"}
-        assert {"profile_run", "comparison", "task", "simulate"} <= names
-        assert "reference_loop" in names
+        assert {"profile_run", "comparison", "task", "simulate", "batch"} <= names
+        assert "reference_loop" not in names
 
     def test_trace_gen_span_present_on_cold_store(self, tmp_path, capsys):
         out = tmp_path / "profile.json"

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.experiments import figure10, figure11
+from repro.hierarchy.base import Architecture
 from tests.conftest import make_tiny_config
 
 
@@ -27,7 +31,7 @@ class TestFigure10Systems:
 
     def test_ideal_push_is_the_best_hint_system(self, systems):
         ideal = systems["hints-ideal-push"][0].mean_response_ms
-        for name, (metrics, _arch) in systems.items():
+        for name, (metrics, _push_stats) in systems.items():
             if name != "hierarchy":
                 assert ideal <= metrics.mean_response_ms + 1e-9, name
 
@@ -58,6 +62,23 @@ class TestFigure10Systems:
 
     def test_push_systems_record_push_hits(self, systems):
         assert systems["hints+push-1"][0].push_hits > 0
+
+    def test_releases_every_architecture(self, monkeypatch):
+        """No architecture outlives the call: each holds a full set of
+        caches, and a cost model's seven would stay resident otherwise."""
+        built = []
+        init = Architecture.__init__
+
+        def tracking_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(weakref.ref(self))
+
+        monkeypatch.setattr(Architecture, "__init__", tracking_init)
+        systems = figure10.run_systems(make_tiny_config(), "dec", "testbed")
+        gc.collect()
+        assert len(built) == len(systems)
+        alive = [type(ref()).__name__ for ref in built if ref() is not None]
+        assert alive == []
 
 
 class TestFigure10Rows:

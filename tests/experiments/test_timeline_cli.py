@@ -4,12 +4,22 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments.base import trace_for
 from repro.experiments.cli import main
+from repro.hierarchy.data_hierarchy import DataHierarchy
+from repro.hierarchy.directory_arch import CentralizedDirectoryArchitecture
+from repro.hierarchy.hint_hierarchy import HintHierarchy
+from repro.hierarchy.icp import IcpHierarchy
+from repro.netmodel.testbed import TestbedCostModel
 from repro.obs.export import (
     check_prometheus_text,
     check_timeline_rows,
     read_timeline_jsonl,
+    write_timeline_jsonl,
 )
+from repro.obs.telemetry import MetricsRegistry, RunTelemetry
+from repro.sim.config import default_config
+from repro.sim.engine import run_simulation
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +63,31 @@ class TestTimelineVerb:
         hierarchy = [row for row in rows if row["arch"] == "hierarchy"]
         assert "L1 hit rate" in warmup_convergence(hierarchy).summary_line()
 
+    def test_rows_equal_reference_library_run(self, outputs, tmp_path):
+        """The verb's rows are byte-identical to the reference loop's."""
+        config = default_config().with_scale(0.0002)
+        trace = trace_for(config, "dec")
+        cost = TestbedCostModel()
+        registry = MetricsRegistry()
+        rows = []
+        for factory in (
+            DataHierarchy,
+            IcpHierarchy,
+            HintHierarchy,
+            CentralizedDirectoryArchitecture,
+        ):
+            telemetry = RunTelemetry(registry, bin_s=3600.0)
+            run_simulation(
+                trace,
+                factory(config.topology, cost),
+                telemetry=telemetry,
+                engine="reference",
+            )
+            rows.extend(telemetry.rows)
+        reference = tmp_path / "reference.jsonl"
+        write_timeline_jsonl(rows, str(reference))
+        assert outputs[1].read_bytes() == reference.read_bytes()
+
     def test_csv_extension_switches_format(self, tmp_path):
         out = tmp_path / "timeline.csv"
         assert main(["timeline", "--scale", "0.0002", "--timeline", str(out)]) == 0
@@ -73,17 +108,7 @@ class TestGuards:
     def test_bin_must_be_positive(self):
         assert main(["timeline", "--bin", "0"]) == 2
 
-    def test_engine_fast_matches_reference(self, tmp_path):
-        # Every standard architecture (incl. ICP/directory) now has a
-        # vectorized kernel, so 'fast' is legal for the standard four and
-        # must produce identical timeline rows.
-        rows = {}
-        for engine in ("reference", "fast", "auto"):
-            out = tmp_path / f"{engine}.jsonl"
-            assert main(
-                ["timeline", "--scale", "0.0002",
-                 "--engine", engine, "--timeline", str(out)]
-            ) == 0
-            rows[engine] = read_timeline_jsonl(out)
-        assert rows["reference"] == rows["fast"]
-        assert rows["reference"] == rows["auto"]
+    def test_engine_flag_removed(self):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["timeline", "--engine", "fast"])
+        assert exit_info.value.code == 2

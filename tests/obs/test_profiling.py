@@ -362,7 +362,7 @@ class TestEngineIntegration:
         config, tiny = trace
         profiler = SpanProfiler()
         with profiling.attached(profiler):
-            run_simulation(tiny, self.build(config))
+            run_simulation(tiny, self.build(config), engine="reference")
         (simulate,) = profiler.roots
         assert simulate.name == "simulate"
         assert simulate.category == "engine"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from tests.conftest import make_tiny_config
 
+from repro.experiments.registry import all_experiments
 from repro.hierarchy.data_hierarchy import DataHierarchy
 from repro.hierarchy.hint_hierarchy import HintHierarchy
 from repro.netmodel.testbed import TestbedCostModel
@@ -142,3 +143,19 @@ def test_run_experiments_records_one_span_per_experiment():
     ]
     assert len(spans) == 1
     assert spans[0].attrs["experiment"] == "table3"
+
+
+def test_paper_experiments_run_on_the_fast_engine():
+    """Every simulation of the paper reproduction takes the columnar
+    kernels: none falls back to the per-request reference loop."""
+    profiler = SpanProfiler()
+    try:
+        with profiling.attached(profiler):
+            run_experiments(all_experiments(), make_tiny_config())
+    finally:
+        profiler.close()
+    names = [span.name for root in profiler.roots for span in root.walk()]
+    # 191 pins the registry's simulation count at this config, so a
+    # module that stops simulating (or bypasses run_simulation) shows.
+    assert names.count("simulate") == 191
+    assert "reference_loop" not in names

@@ -167,6 +167,7 @@ def tiny_comparisons(tmp_path_factory):
             specs,
             shards=shards,
             timeline_dir=timeline_dir,
+            engine="reference",
         )
     return runs
 

@@ -13,7 +13,9 @@ fault-edge invariance under Hypothesis.
 A second matrix crosses every architecture kind with every replacement
 policy (LRU / LFU / seeded Random) on *bounded* caches -- the kernels'
 policy-agnostic contract (:mod:`repro.sim.fastpath` module docstring)
-means non-LRU bookkeeping must advance identically on both engines.
+means non-LRU bookkeeping must advance identically on both engines.  A
+third crosses the bounded and hint-family kinds with the cost models the
+experiments run besides the testbed model.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from repro.hierarchy.directory_arch import CentralizedDirectoryArchitecture
 from repro.hierarchy.hint_hierarchy import HintHierarchy
 from repro.hierarchy.icp import IcpHierarchy
 from repro.hierarchy.message_hints import MessageLevelHintHierarchy
+from repro.netmodel import LoadAwareCostModel, cost_model_by_name
 from repro.netmodel.testbed import TestbedCostModel
 from repro.obs.sink import SamplingJourneySink
 from repro.obs.telemetry import MetricsRegistry, RunTelemetry
@@ -66,16 +69,16 @@ ALL_KINDS = [
 ]
 
 
-def build_architecture(kind, topology, policy=None):
+def build_architecture(kind, topology, policy=None, cost=None):
     """Fresh architecture for one parity cell (never reused across runs).
 
     ``policy`` (a name or :class:`PolicySpec`) threads a replacement
     policy into every level the kind has.  Kinds that default to
     unbounded caches get bounded ones when a policy is requested --
     policies only differ under capacity pressure, so an unbounded policy
-    cell would be vacuous.
+    cell would be vacuous.  ``cost`` replaces the testbed cost model.
     """
-    cost = TestbedCostModel()
+    cost = TestbedCostModel() if cost is None else cost
     spec = PolicySpec(policy, seed=13) if isinstance(policy, str) else policy
     data_policies = (
         {}
@@ -268,6 +271,39 @@ def test_policy_parity_matrix(kind, policy, tiny_config, dec_trace):
     assert reference == fast
 
 
+#: Cost models the experiments run besides the testbed model: the Rousskov
+#: bounds (figure8, figure10) and the queueing wrapper (load_sensitivity,
+#: queueing_validation).  None overrides the ``*_ms_batch`` methods, so the
+#: kernels price their batches through the base class's scalar loop.
+COST_MODELS = {
+    "min": lambda: cost_model_by_name("min"),
+    "max": lambda: cost_model_by_name("max"),
+    "testbed+load0.5": lambda: LoadAwareCostModel(TestbedCostModel(), 0.5),
+}
+
+
+@pytest.mark.parametrize("cost_name", sorted(COST_MODELS))
+@pytest.mark.parametrize(
+    "kind",
+    ["hierarchy-bounded", "icp", "directory", "hints-pathological", "hints-push"],
+)
+def test_cost_model_parity_matrix(kind, cost_name, tiny_config, dec_trace):
+    """Architecture x cost-model matrix: byte-identical SimMetrics."""
+    make_cost = COST_MODELS[cost_name]
+    reference = run_simulation(
+        dec_trace,
+        build_architecture(kind, tiny_config.topology, cost=make_cost()),
+        engine="reference",
+    )
+    fast = run_simulation(
+        dec_trace,
+        build_architecture(kind, tiny_config.topology, cost=make_cost()),
+        engine="fast",
+    )
+    assert fast.cost_model == make_cost().name
+    assert reference == fast
+
+
 def test_policy_cells_actually_evict(tiny_config, dec_trace):
     """The policy matrix is not vacuous: every kind's L1 caches evict, and
     distinct policies produce distinct metrics on at least one kind."""
@@ -366,7 +402,9 @@ def test_parity_prodigy_trace(tiny_config, prodigy_trace):
 def test_batch_size_invariance_pinned(batch_size, tiny_config, dec_trace):
     """Fixed batch-boundary sweep: 1 (degenerate), 7 (ragged), 1024."""
     reference = run_simulation(
-        dec_trace, build_architecture("hints", tiny_config.topology)
+        dec_trace,
+        build_architecture("hints", tiny_config.topology),
+        engine="reference",
     )
     fast = run_fast_simulation(
         dec_trace,
@@ -395,6 +433,7 @@ def test_fault_edges_on_batch_boundaries_pinned(batch_size, tiny_config, dec_tra
         dec_trace,
         build_architecture("directory", tiny_config.topology),
         fault_plan=plan,
+        engine="reference",
     )
     fast = run_fast_simulation(
         dec_trace,
@@ -429,7 +468,9 @@ def test_batch_size_invariance_hypothesis(batch_size):
     cache = _hypothesis_trace()
     if "reference" not in cache:
         cache["reference"] = run_simulation(
-            cache["trace"], build_architecture("hierarchy", cache["topology"])
+            cache["trace"],
+            build_architecture("hierarchy", cache["topology"]),
+            engine="reference",
         )
     fast = run_fast_simulation(
         cache["trace"],
@@ -481,6 +522,7 @@ def test_fault_boundary_invariance_hypothesis(
             trace,
             build_architecture("hints", cache["topology"]),
             fault_plan=plan,
+            engine="reference",
         )
     fast = run_fast_simulation(
         trace,
@@ -515,7 +557,9 @@ def test_fast_raises_for_unsupported_architecture(tiny_config, dec_trace):
 
 def test_auto_falls_back_for_unsupported_architecture(tiny_config, dec_trace):
     reference = run_simulation(
-        dec_trace, _UnkernelizedHierarchy(tiny_config.topology, TestbedCostModel())
+        dec_trace,
+        _UnkernelizedHierarchy(tiny_config.topology, TestbedCostModel()),
+        engine="reference",
     )
     auto = run_simulation(
         dec_trace,
