@@ -37,10 +37,18 @@ mix.  The only method bypass -- the warm-hit raw ``_entries`` dict probe
 -- is taken solely for *unbounded* caches, where no eviction can ever
 happen and policy bookkeeping is therefore unobservable.
 
-Journeys and telemetry are *decoders* over the batch's column store: a
-detached run (no sink, no telemetry) pays one pointer check per batch,
-while an attached run reconstructs journeys / feeds
-``RunTelemetry.observe_values`` from the already-priced columns.
+Batch state machine
+-------------------
+Every architecture checks the client's own L1 proxy first; they differ
+only in how a miss finds a copy.  So one loop, :meth:`_Kernel.classify`,
+owns the batch prologue (column gathers) and the only L1 probe: it records
+each local hit inline (no call per hit) and hands each miss to the
+kernel's miss hook, which resolves it and returns ``(pattern, holder,
+point)``.  The driver then prices the batch (``cost_reconstruct``), folds
+it into metrics, and -- only when attached -- decodes telemetry rows and
+journeys.  Pricing, flags, result points, the fold's kind table and the
+journey decode are all derived from the kernel's ``STEPS`` table, so a
+journey shape is stated once.
 
 Fault residual
 --------------
@@ -58,7 +66,7 @@ then runs in one of two modes:
   no node is down, no hint-loss draw happens at probability 0.0, and the
   residual per-architecture differences (the hint path skipping push
   accounting, the directory trusting its possibly-stale visible map) are
-  encoded in the faulted state loops below;
+  handled in the kernels' miss paths;
 * **active** (any node down / multiplier != 1 / loss probability > 0):
   the span falls back to a per-request loop over ``architecture.process``
   -- byte-identical because it *is* the reference loop body.
@@ -66,23 +74,27 @@ then runs in one of two modes:
 Audit hooks remain inherently per-request (checkpoints walk live state
 between requests), so audited runs still dispatch to the reference loop.
 
-Adding an architecture = writing one ``_Kernel`` subclass: a per-batch
-state loop emitting (pattern, point, aux, flags) small-int columns, a
-``STEP_TABLE`` mapping patterns to journey shapes, and a cost-pricing
-method.  The driver (batching, warmup masking, metrics folding, telemetry
+Adding an architecture = writing one ``_Kernel`` subclass: a ``STEPS``
+table (pattern -> result point, flags, and journey steps with their price
+rule and target) and a ``_miss_hook`` that builds the per-miss closure
+returning each miss's ``(pattern, holder, point)``.  A hint-style variant
+is instead one more ``HintKernel.VARIANTS`` entry: a hook and its table.
+The driver (batching, warmup masking, pricing, metrics folding, telemetry
 bin splitting, fault-span splitting, journey decode) is
 architecture-independent.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from contextlib import nullcontext
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from repro.cache.lru import LookupResult
 from repro.netmodel.model import AccessPoint
 from repro.obs import profiling
+from repro.obs.journey import Journey, Step, StepKind
 from repro.sim.metrics import SimMetrics, StepAggregate
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -105,6 +117,58 @@ FLAG_SUBOPTIMAL = 8
 FLAG_PUSH_HIT = 16
 FLAG_STALE_FORWARD = 32
 
+#: Journey marks implied by the flag bits (the journey decode sets them).
+_MARKS = (
+    (FLAG_FALSE_POSITIVE, Journey.mark_false_positive),
+    (FLAG_FALSE_NEGATIVE, Journey.mark_false_negative),
+    (FLAG_SUBOPTIMAL, Journey.mark_suboptimal),
+    (FLAG_PUSH_HIT, Journey.mark_push_hit),
+    (FLAG_STALE_FORWARD, Journey.mark_stale_forward),
+)
+_MARK_BITS = sum(bit for bit, _ in _MARKS)
+
+#: Price rules: the cost-model method that prices a step.
+HIER = "hierarchical_ms_batch"
+VIA = "via_l1_ms_batch"
+DIRECT = "direct_ms_batch"
+PROBE = "probe_ms"
+HINT = "hint_lookup_ms"
+
+#: Point placeholder: the row's own point column (a holder's distance
+#: class, or the charged point under ideal push).
+ROW = 0
+L1, L2, L3, SERVER = AccessPoint
+#: AccessPoint by int value (the decode's point column).
+_POINTS = (None, L1, L2, L3, SERVER)
+#: The miss paths compare against this alias: enum attribute access
+#: costs a class lookup per use.
+_HIT = LookupResult.HIT
+
+
+class _Step(NamedTuple):
+    """One journey step of a pattern: its kind, price rule and target.
+
+    ``point`` is an :class:`AccessPoint`, :data:`ROW`, ``None`` (a
+    scalar rule that takes no point), or the name of an architecture
+    attribute holding the point.  ``target`` is formatted with the row's
+    aux node as ``{0}`` and that node's L2 group as ``{1}``.
+    """
+
+    kind: StepKind
+    price: str
+    point: object
+    target: str = ""
+    wasted: bool = False
+
+
+_LOCAL = _Step(StepKind.LOCAL_LOOKUP, VIA, L1, "l1:{0}")
+_HINT = _Step(StepKind.HINT_LOOKUP, HINT, None)
+_HINTED = _Step(StepKind.HINT_LOOKUP, HINT, None, "l1:{0}")
+_TRANSFER = _Step(StepKind.TRANSFER, VIA, ROW, "l1:{0}")
+_WASTED = _Step(StepKind.PEER_PROBE, PROBE, ROW, "l1:{0}", True)
+_ORIGIN = _Step(StepKind.ORIGIN_FETCH, VIA, SERVER, "origin")
+_DIRECT_ORIGIN = _ORIGIN._replace(price=DIRECT)
+
 
 def _sequential_sum(initial: float, values: np.ndarray) -> float:
     """``((initial + v0) + v1) + ...`` bit-for-bit, without a Python loop.
@@ -119,6 +183,16 @@ def _sequential_sum(initial: float, values: np.ndarray) -> float:
     return float(np.cumsum(buffer)[-1])
 
 
+def _step_cost(cost, method: str, point, sizes: np.ndarray):
+    """One step's cost for ``sizes``: a batch method or a scalar broadcast."""
+    fn = getattr(cost, method)
+    if method == HINT:
+        return fn()
+    if method == PROBE:
+        return fn(point)
+    return fn(point, sizes)
+
+
 class _BatchResult:
     """Column store for one processed batch (small ints + slot costs)."""
 
@@ -127,7 +201,7 @@ class _BatchResult:
     def __init__(self, pattern, point, aux, flags, slot_costs):
         self.pattern = pattern  # kernel-defined path shape per row
         self.point = point  # AccessPoint int per row
-        self.aux = aux  # kernel-defined (target node / probe point)
+        self.aux = aux  # journey target node (requester or holder)
         self.flags = flags  # FLAG_* bitmask per row
         self.slot_costs = slot_costs  # list of float64 arrays, journey order
         # Per-request charged time: left-to-right slot sum with zero-padded
@@ -139,333 +213,308 @@ class _BatchResult:
 
 
 class _Kernel:
-    """One architecture's batchable hot path (state loop + pricing)."""
+    """One architecture's batchable hot path.
 
-    #: pattern -> ((slot, StepKind.value, wasted), ...) in journey order.
-    STEP_TABLE: dict[int, tuple[tuple[int, str, bool], ...]] = {}
+    Subclasses declare ``STEPS`` and write ``_miss_hook``; this class
+    owns the L1 probe and derives everything else from the table.
+    """
 
-    #: Kernels whose state loop passes real ``Request`` objects to live
-    #: collaborators (push policies) need the materialized request list.
-    NEEDS_REQUESTS = False
+    #: pattern -> (result point, FLAG_* bits, journey steps).  Pattern 1
+    #: is the local hit the probe records; result point ROW takes the
+    #: row's emitted point.
+    STEPS: dict = {}
 
-    def __init__(self, architecture: "Architecture", columns, requests=None) -> None:
+    #: Whether the probe stamps ``arch._now`` before a real L1 lookup (the
+    #: architectures whose eviction callbacks read it).
+    STAMP = False
+
+    def __init__(self, architecture: "Architecture", trace: "Trace") -> None:
         self.arch = architecture
-        self.columns = columns
-        self.requests = requests
+        self.columns = columns = trace.columns()
+        # A lazy list: rows materialize only if a journey, an active fault
+        # window or a push policy indexes it.
+        self.requests = trace.requests
         # With a fault plan bound, *every* request takes the architecture's
         # ``_process_faulted`` path; kernels replay its quiescent-window
         # semantics when this is set (the driver only invokes kernels in
         # quiescent spans -- active windows fall back per-request).
         self.faulted = architecture.faults is not None
+        topology = architecture.topology
+        self._l1_all = topology.l1_of_clients(columns.client)
+        self._dist_rows = topology.distance_matrix().tolist()
+        self._per = topology.l1_per_l2
+        # Unbounded caches never evict, so replacement bookkeeping (LRU
+        # recency order, LFU frequencies, Random's key table) is
+        # unobservable: a pure HIT's only state effect (``_touch``) can be
+        # skipped and the lookup becomes one dict probe.  STALE rows still
+        # take the real lookup, MISS rows the real inserts, and *bounded*
+        # caches take the real calls for every row -- that is what keeps
+        # the kernels policy-agnostic (module docstring).  (Crash events
+        # empty ``_entries`` in place, so the dict references stay valid
+        # across fault windows.)
+        self._l1_entries = [
+            cache._entries if cache.capacity_bytes is None else None
+            for cache in architecture.l1_caches
+        ]
+        # Push variants consume push marks on local hits; ``_process_faulted``
+        # ignores push policies, so faulted runs do not.
+        self._marks = (
+            not self.faulted and getattr(architecture, "push_policy", None) is not None
+        )
+        # Everything below is derived from STEPS: per-pattern steps with
+        # attribute points resolved, lookup tables for result points and
+        # flags, and kind -> {pattern: [(slot, wasted)]} for the fold.
+        self.steps = {}
+        self.kinds: dict[str, dict[int, list[tuple[int, bool]]]] = {}
+        self._point_lut = np.zeros(max(self.STEPS) + 1, dtype=np.int64)
+        self._flag_lut = np.zeros_like(self._point_lut)
+        for pattern, (point, flags, steps) in self.STEPS.items():
+            self._point_lut[pattern] = point
+            self._flag_lut[pattern] = flags
+            self.steps[pattern] = [
+                step._replace(point=getattr(architecture, step.point))
+                if isinstance(step.point, str)
+                else step
+                for step in steps
+            ]
+            for slot, step in enumerate(steps):
+                by_pattern = self.kinds.setdefault(step.kind.value, {})
+                by_pattern.setdefault(pattern, []).append((slot, step.wasted))
+        self._width = max(len(steps) for steps in self.steps.values())
+        self._miss = self._miss_hook()
 
     def span_begin(self) -> None:
         """Per-span hook before a quiescent faulted span (default no-op)."""
 
-    def process_batch(self, idx: np.ndarray) -> _BatchResult:
+    def classify(self, idx: np.ndarray):
+        """The batch prologue and the only L1 probe.
+
+        Local hits stay inside this loop (recorded as the pattern-1
+        default, plus a push-mark check for the push variants) and touch
+        only the object, version and proxy columns; each miss goes to the
+        kernel's ``_miss`` hook as ``(i, t, oid, version, size, l1, cache,
+        stale)`` -- ``i`` the trace index, ``stale`` whether the L1 lookup
+        invalidated an old copy -- which returns its ``(pattern, holder,
+        point)``.  Returns ``(misses, found, pushed)``: the batch rows
+        that missed, their triples flattened, and the local hits that
+        consumed a push mark.
+        """
+        columns = self.columns
+        arch = self.arch
+        caches = arch.l1_caches
+        l1_entries = self._l1_entries
+        hit = LookupResult.HIT
+        miss = LookupResult.MISS
+        stale = LookupResult.STALE
+        stamp = self.STAMP
+        resolve = self._miss
+        indices = idx.tolist()
+        times = columns.time[idx].tolist()
+        sizes = columns.size[idx].tolist()
+        misses: list[int] = []
+        found: list[int] = []
+        pushed: list[int] = []
+        emit = found.extend
+        marks = self._marks
+        if marks:
+            # Local hits are the steady-state bulk, so the consume-mark
+            # check is inlined: one dict pop replaces the method call, and
+            # the stats/peek work only runs when a mark actually existed.
+            # The dict itself stays live (eviction pops from the same
+            # object).
+            pending_pop = arch._pending_push.pop
+            push_stats = arch.push_stats
+            peeks = [cache.peek for cache in caches]
+        for row, oid, version, l1i in zip(
+            range(len(idx)),
+            columns.object[idx].tolist(),
+            columns.version[idx].tolist(),
+            self._l1_all[idx].tolist(),
+        ):
+            entries = l1_entries[l1i]
+            if (
+                entries is None
+                or (entry := entries.get(oid)) is None
+                or entry.version < version
+            ):
+                if stamp:
+                    arch._now = times[row]
+                cache = caches[l1i]
+                # Bounded caches take the real lookup; an unbounded one only
+                # to invalidate a stale copy (an absent key is a plain miss).
+                outcome = (
+                    cache.lookup(oid, version)
+                    if entries is None or entry is not None
+                    else miss
+                )
+                if outcome is not hit:
+                    misses.append(row)
+                    emit(resolve(
+                        indices[row], times[row], oid, version, sizes[row],
+                        l1i, cache, outcome is stale,
+                    ))
+                    continue
+            if marks:
+                pushed_version = pending_pop((l1i, oid), None)
+                if pushed_version is not None and pushed_version >= version:
+                    push_stats.used_count += 1
+                    peeked = peeks[l1i](oid)
+                    push_stats.used_bytes += peeked.size if peeked else 0
+                    pushed.append(row)
+        return misses, found, pushed
+
+    def _miss_hook(self):
+        """Build this kernel's per-miss hook (a closure over its state)."""
         raise NotImplementedError
 
-    def result_for(self, batch: _BatchResult, row: int) -> "AccessResult":
-        raise NotImplementedError
+    def price(self, idx: np.ndarray, misses, found, pushed) -> _BatchResult:
+        """Scatter the misses over the all-local-hit default; price slots."""
+        n = len(idx)
+        pattern = np.ones(n, dtype=np.int64)
+        aux = self._l1_all[idx]
+        row_point = np.ones(n, dtype=np.int64)
+        if misses:
+            rows = np.array(misses, dtype=np.int64)
+            pattern[rows], aux[rows], row_point[rows] = (
+                np.array(found, dtype=np.int64).reshape(-1, 3).T
+            )
+        flags = self._flag_lut[pattern]
+        if pushed:
+            flags[np.array(pushed, dtype=np.int64)] |= FLAG_PUSH_HIT
+        point = self._point_lut[pattern]
+        point = np.where(point == ROW, row_point, point)
+        sizes = self.columns.size[idx]
+        cost = self.arch.cost_model
+        slot_costs = [np.zeros(n, dtype=np.float64) for _ in range(self._width)]
+        for p, count in enumerate(np.bincount(pattern).tolist()):
+            if not count:
+                continue
+            # An all-hit batch (the warm steady state) needs no row mask.
+            rows = slice(None) if count == n else pattern == p
+            for costs, step in zip(slot_costs, self.steps[p]):
+                if step.point != ROW:
+                    costs[rows] = _step_cost(cost, step.price, step.point, sizes[rows])
+                    continue
+                at = row_point[rows]
+                for value in np.flatnonzero(np.bincount(at)).tolist():
+                    sel = row_point == value
+                    if count != n:
+                        sel &= rows
+                    costs[sel] = _step_cost(
+                        cost, step.price, AccessPoint(value), sizes[sel]
+                    )
+        return _BatchResult(pattern, point, aux, flags, slot_costs)
 
-    def _kind_table(self):
-        """kind -> [(pattern, slot, wasted), ...], derived from STEP_TABLE."""
-        table: dict[str, list[tuple[int, int, bool]]] = {}
-        for pattern, slots in self.STEP_TABLE.items():
-            for slot, kind, wasted in slots:
-                table.setdefault(kind, []).append((pattern, slot, wasted))
-        return table
+    def journeys(self, batch: _BatchResult, rows: list[int]):
+        """Decode ``rows`` into the reference's journeys, step for step."""
+        patterns = batch.pattern.tolist()
+        points = batch.point.tolist()
+        aux_col = batch.aux.tolist()
+        flags_col = batch.flags.tolist()
+        slot_costs = [costs.tolist() for costs in batch.slot_costs]
+        per = self._per
+        for row in rows:
+            aux = aux_col[row]
+            flags = flags_col[row]
+            journey = Journey()
+            journey.steps = [
+                Step(
+                    step.kind,
+                    costs[row],
+                    step.target.format(aux, aux // per),
+                    0.0,
+                    step.wasted,
+                )
+                for step, costs in zip(self.steps[patterns[row]], slot_costs)
+            ]
+            if flags & _MARK_BITS:
+                for bit, mark in _MARKS:
+                    if flags & bit:
+                        mark(journey)
+            point = _POINTS[points[row]]
+            yield journey.result(
+                point,
+                hit=point is not SERVER,
+                remote_hit=bool(flags & FLAG_REMOTE_HIT),
+            )
 
 
 class HierarchyKernel(_Kernel):
     """Vectorized path of :class:`DataHierarchy`.
 
-    Pattern ids double as AccessPoint ints (the hierarchy's single journey
-    step is fully determined by the deepest level reached).  The quiescent
-    window of ``_process_faulted`` is byte-identical to the healthy path
-    (``degraded_ms`` is the identity, ``fault_ms=0.0`` equals the healthy
-    step default), so one state loop serves both modes.
+    A local miss climbs L2 -> L3 -> origin and copies back down.  The
+    quiescent window of ``_process_faulted`` is byte-identical to the
+    healthy path (``degraded_ms`` is the identity, ``fault_ms=0.0`` equals
+    the healthy step default), so one miss path serves both modes.
     """
 
-    STEP_TABLE = {
-        1: ((0, "local_lookup", False),),
-        2: ((0, "level_traversal", False),),
-        3: ((0, "level_traversal", False),),
-        4: ((0, "origin_fetch", False),),
+    STEPS = {
+        1: (L1, 0, (_Step(StepKind.LOCAL_LOOKUP, HIER, L1, "l1:{0}"),)),
+        2: (L2, FLAG_REMOTE_HIT, (_Step(StepKind.LEVEL_TRAVERSAL, HIER, L2, "l2:{1}"),)),
+        3: (L3, FLAG_REMOTE_HIT, (_Step(StepKind.LEVEL_TRAVERSAL, HIER, L3, "l3"),)),
+        4: (SERVER, 0, (_Step(StepKind.ORIGIN_FETCH, HIER, SERVER, "origin"),)),
     }
 
-    def __init__(self, architecture, columns, requests=None) -> None:
-        super().__init__(architecture, columns, requests)
-        topology = architecture.topology
-        self._l1_all = topology.l1_of_clients(columns.client)
-        self._l2_all = self._l1_all // topology.l1_per_l2
-        # Unbounded caches never evict, so replacement bookkeeping (LRU
-        # recency order, LFU frequencies, Random's key table) is
-        # unobservable on the healthy path: a pure HIT's only state effect
-        # (``_touch``) can be skipped and the lookup becomes one dict
-        # probe.  STALE and MISS rows still take the real method calls,
-        # and *bounded* caches take them for every row -- that is what
-        # keeps the kernels policy-agnostic (module docstring).  (Crash
-        # events empty ``_entries`` in place, so the dict references stay
-        # valid across fault windows.)
-        self._l1_entries = [
-            cache._entries if cache.capacity_bytes is None else None
-            for cache in architecture.l1_caches
-        ]
-
-    def process_batch(self, idx: np.ndarray) -> _BatchResult:
-        columns = self.columns
-        oids = columns.object[idx].tolist()
-        versions = columns.version[idx].tolist()
-        sizes_list = columns.size[idx].tolist()
-        l1_list = self._l1_all[idx].tolist()
-        l2_list = self._l2_all[idx].tolist()
-
+    def _miss_hook(self):
         arch = self.arch
-        l1_caches = arch.l1_caches
-        l1_entries = self._l1_entries
-        l2_caches = arch.l2_caches
-        l3 = arch.l3_cache
-        l3_lookup = l3.lookup
-        l3_insert = l3.insert
-        hit = LookupResult.HIT
-        pattern_list = []
-        append = pattern_list.append
-        for oid, version, size, l1i, l2i in zip(
-            oids, versions, sizes_list, l1_list, l2_list
-        ):
-            entries = l1_entries[l1i]
-            if entries is not None:
-                entry = entries.get(oid)
-                if entry is not None and entry.version >= version:
-                    append(1)
-                    continue
-                l1 = l1_caches[l1i]
-                if entry is not None:
-                    l1.lookup(oid, version)  # STALE: invalidates the copy
-            else:
-                l1 = l1_caches[l1i]
-                if l1.lookup(oid, version) is hit:
-                    append(1)
-                    continue
-            l2 = l2_caches[l2i]
-            if l2.lookup(oid, version) is hit:
+        l2_caches, l3, per = arch.l2_caches, arch.l3_cache, self._per
+
+        def climb(i, t, oid, version, size, l1i, l1, stale):
+            """Walk L2 -> L3 -> origin; the pattern is the level reached."""
+            l2 = l2_caches[l1i // per]
+            if l2.lookup(oid, version) is _HIT:
                 l1.insert(oid, size, version)
-                append(2)
-                continue
-            if l3_lookup(oid, version) is hit:
+                return 2, l1i, 0
+            if l3.lookup(oid, version) is _HIT:
                 l2.insert(oid, size, version)
                 l1.insert(oid, size, version)
-                append(3)
-                continue
-            l3_insert(oid, size, version)
+                return 3, l1i, 0
+            l3.insert(oid, size, version)
             l2.insert(oid, size, version)
             l1.insert(oid, size, version)
-            append(4)
+            return 4, l1i, 0
 
-        pattern = np.array(pattern_list, dtype=np.int64)
-        sizes = columns.size[idx]
-        cost = arch.cost_model
-        s0 = np.empty(len(pattern), dtype=np.float64)
-        for point in AccessPoint:
-            rows = pattern == int(point)
-            if rows.any():
-                s0[rows] = cost.hierarchical_ms_batch(point, sizes[rows])
-        flags = np.where(
-            (pattern == 2) | (pattern == 3), FLAG_REMOTE_HIT, 0
-        ).astype(np.int64)
-        # aux carries the requester's L1 index (the L2 parent is derived).
-        aux = self._l1_all[idx]
-        return _BatchResult(pattern, pattern, aux, flags, [s0])
-
-    def result_for(self, batch: _BatchResult, row: int) -> "AccessResult":
-        from repro.obs.journey import Journey
-
-        pattern = int(batch.pattern[row])
-        cost = float(batch.slot_costs[0][row])
-        l1_index = int(batch.aux[row])
-        journey = Journey()
-        if pattern == 1:
-            journey.local_lookup(cost, target=f"l1:{l1_index}")
-            return journey.result(AccessPoint.L1, hit=True)
-        if pattern == 2:
-            l2_index = l1_index // self.arch.topology.l1_per_l2
-            journey.level_traversal(cost, target=f"l2:{l2_index}")
-            return journey.result(AccessPoint.L2, hit=True, remote_hit=True)
-        if pattern == 3:
-            journey.level_traversal(cost, target="l3")
-            return journey.result(AccessPoint.L3, hit=True, remote_hit=True)
-        journey.origin_fetch(cost)
-        return journey.result(AccessPoint.SERVER, hit=False)
+        return climb
 
 
-class IcpKernel(_Kernel):
+class IcpKernel(HierarchyKernel):
     """Vectorized path of :class:`IcpHierarchy` (sibling-query fan-out).
 
     Every local miss pays the sibling query round trip (slot 0), then
-    resolves at the first sibling holding a current copy, the L2 parent,
-    the L3 root, or the origin server.  The quiescent faulted window is
-    byte-identical to the healthy walk: with no sibling down the live-
-    sibling partition preserves order, no timeout fires, and every
-    degraded charge is the identity.
+    resolves at the first sibling holding a current copy, or climbs the
+    hierarchy.  The quiescent faulted window is byte-identical to the
+    healthy walk: with no sibling down the live-sibling partition
+    preserves order, no timeout fires, and every degraded charge is the
+    identity.
     """
 
-    P_LOCAL = 1
-    P_SIBLING = 2
-    P_L2 = 3
-    P_L3 = 4
-    P_MISS = 5
-
-    STEP_TABLE = {
-        1: ((0, "local_lookup", False),),
-        2: ((0, "peer_probe", False), (1, "transfer", False)),
-        3: ((0, "peer_probe", False), (1, "level_traversal", False)),
-        4: ((0, "peer_probe", False), (1, "level_traversal", False)),
-        5: ((0, "peer_probe", False), (1, "origin_fetch", False)),
+    _QUERY = _Step(StepKind.PEER_PROBE, PROBE, L2, "siblings")
+    STEPS = {
+        1: HierarchyKernel.STEPS[1],
+        2: (L2, FLAG_REMOTE_HIT, (_QUERY, _Step(StepKind.TRANSFER, VIA, L2, "l1:{0}"))),
+        3: (L2, FLAG_REMOTE_HIT, (_QUERY, *HierarchyKernel.STEPS[2][2])),
+        4: (L3, FLAG_REMOTE_HIT, (_QUERY, *HierarchyKernel.STEPS[3][2])),
+        5: (SERVER, 0, (_QUERY, *HierarchyKernel.STEPS[4][2])),
     }
 
-    def __init__(self, architecture, columns, requests=None) -> None:
-        super().__init__(architecture, columns, requests)
-        topology = architecture.topology
-        self._l1_all = topology.l1_of_clients(columns.client)
-        self._l2_all = self._l1_all // topology.l1_per_l2
-        self._siblings = [
-            topology.siblings_of(l1) for l1 in range(topology.n_l1)
-        ]
-        self._l1_entries = [
-            cache._entries if cache.capacity_bytes is None else None
-            for cache in architecture.l1_caches
-        ]
-
-    def process_batch(self, idx: np.ndarray) -> _BatchResult:
-        columns = self.columns
-        oids = columns.object[idx].tolist()
-        versions = columns.version[idx].tolist()
-        sizes_list = columns.size[idx].tolist()
-        l1_list = self._l1_all[idx].tolist()
-        l2_list = self._l2_all[idx].tolist()
-
+    def _miss_hook(self):
         arch = self.arch
-        l1_caches = arch.l1_caches
-        l1_entries = self._l1_entries
-        l2_caches = arch.l2_caches
-        l3 = arch.l3_cache
-        siblings_table = self._siblings
-        hit = LookupResult.HIT
-        pattern_list = []
-        append = pattern_list.append
-        sib_rows: list[int] = []
-        sib_vals: list[int] = []
-        row = -1
-        for oid, version, size, l1i, l2i in zip(
-            oids, versions, sizes_list, l1_list, l2_list
-        ):
-            row += 1
-            entries = l1_entries[l1i]
-            if entries is not None:
-                entry = entries.get(oid)
-                if entry is not None and entry.version >= version:
-                    append(1)
-                    continue
-                l1 = l1_caches[l1i]
-                if entry is not None:
-                    l1.lookup(oid, version)  # STALE: invalidates the copy
-            else:
-                l1 = l1_caches[l1i]
-                if l1.lookup(oid, version) is hit:
-                    append(1)
-                    continue
+        caches = arch.l1_caches
+        topology = arch.topology
+        siblings = [topology.siblings_of(l1) for l1 in range(topology.n_l1)]
+        climb = super()._miss_hook()
+
+        def miss(i, t, oid, version, size, l1i, l1, stale):
             arch.sibling_queries += 1
-            found = -1
-            for sibling in siblings_table[l1i]:
-                if l1_caches[sibling].lookup(oid, version) is hit:
+            for sibling in siblings[l1i]:
+                if caches[sibling].lookup(oid, version) is _HIT:
                     arch.sibling_hits += 1
                     l1.insert(oid, size, version)
-                    found = sibling
-                    break
-            if found >= 0:
-                append(2)
-                sib_rows.append(row)
-                sib_vals.append(found)
-                continue
-            if l2_caches[l2i].lookup(oid, version) is hit:
-                l1.insert(oid, size, version)
-                append(3)
-                continue
-            if l3.lookup(oid, version) is hit:
-                l2_caches[l2i].insert(oid, size, version)
-                l1.insert(oid, size, version)
-                append(4)
-                continue
-            l3.insert(oid, size, version)
-            l2_caches[l2i].insert(oid, size, version)
-            l1.insert(oid, size, version)
-            append(5)
+                    return 2, sibling, 0
+            level, _, _ = climb(i, t, oid, version, size, l1i, l1, stale)
+            return level + 1, l1i, 0
 
-        pattern = np.array(pattern_list, dtype=np.int64)
-        n = len(pattern)
-        sizes = columns.size[idx]
-        cost = arch.cost_model
-        s0 = np.zeros(n, dtype=np.float64)
-        s1 = np.zeros(n, dtype=np.float64)
-        local_rows = pattern == 1
-        if local_rows.any():
-            s0[local_rows] = cost.hierarchical_ms_batch(
-                AccessPoint.L1, sizes[local_rows]
-            )
-        nonlocal_rows = ~local_rows
-        s0[nonlocal_rows] = cost.probe_ms(AccessPoint.L2)
-        sib_hit = pattern == 2
-        if sib_hit.any():
-            s1[sib_hit] = cost.via_l1_ms_batch(AccessPoint.L2, sizes[sib_hit])
-        for pat, point in (
-            (3, AccessPoint.L2),
-            (4, AccessPoint.L3),
-            (5, AccessPoint.SERVER),
-        ):
-            rows = pattern == pat
-            if rows.any():
-                s1[rows] = cost.hierarchical_ms_batch(point, sizes[rows])
-
-        result_point = np.where(
-            local_rows,
-            1,
-            np.where(pattern <= 3, 2, np.where(pattern == 4, 3, 4)),
-        )
-        flags = np.where(
-            (pattern >= 2) & (pattern <= 4), FLAG_REMOTE_HIT, 0
-        ).astype(np.int64)
-        # aux: serving sibling for sibling hits, requester's L1 otherwise.
-        aux = self._l1_all[idx].copy()
-        if sib_rows:
-            aux[np.array(sib_rows, dtype=np.int64)] = np.array(
-                sib_vals, dtype=np.int64
-            )
-        return _BatchResult(pattern, result_point, aux, flags, [s0, s1])
-
-    def result_for(self, batch: _BatchResult, row: int) -> "AccessResult":
-        from repro.obs.journey import Journey
-
-        pattern = int(batch.pattern[row])
-        s0 = float(batch.slot_costs[0][row])
-        s1 = float(batch.slot_costs[1][row])
-        aux = int(batch.aux[row])
-        journey = Journey()
-        if pattern == 1:
-            journey.local_lookup(s0, target=f"l1:{aux}")
-            return journey.result(AccessPoint.L1, hit=True)
-        journey.peer_probe(s0, target="siblings")
-        if pattern == 2:
-            journey.transfer(s1, target=f"l1:{aux}")
-            return journey.result(AccessPoint.L2, hit=True, remote_hit=True)
-        if pattern == 3:
-            l2_index = aux // self.arch.topology.l1_per_l2
-            journey.level_traversal(s1, target=f"l2:{l2_index}")
-            return journey.result(AccessPoint.L2, hit=True, remote_hit=True)
-        if pattern == 4:
-            journey.level_traversal(s1, target="l3")
-            return journey.result(AccessPoint.L3, hit=True, remote_hit=True)
-        journey.origin_fetch(s1)
-        return journey.result(AccessPoint.SERVER, hit=False)
+        return miss
 
 
 class DirectoryKernel(_Kernel):
@@ -477,272 +526,105 @@ class DirectoryKernel(_Kernel):
     is void (crashed proxies died without visible retractions), so the
     nearest *visible* holder is trusted and a missing copy produces the
     stale-forward pattern -- probe wasted, entry dropped, origin fetch.
+    Pure local hits on unbounded caches skip promotion and the ``_now``
+    stamp: the directory's zero propagation delay makes the retraction
+    timestamp unobservable.
     """
 
-    P_LOCAL = 1
-    P_REMOTE = 2
-    P_MISS = 3
-    P_STALE = 4
-
-    STEP_TABLE = {
-        1: ((0, "local_lookup", False),),
-        2: ((0, "peer_probe", False), (1, "transfer", False)),
-        3: ((0, "peer_probe", False), (1, "origin_fetch", False)),
-        4: (
-            (0, "peer_probe", False),
-            (1, "peer_probe", True),
-            (2, "origin_fetch", False),
-        ),
+    STAMP = True
+    _QUERY = _Step(StepKind.PEER_PROBE, PROBE, "directory_point", "directory")
+    STEPS = {
+        1: (L1, 0, (_LOCAL,)),
+        2: (ROW, FLAG_REMOTE_HIT, (_QUERY, _TRANSFER)),
+        3: (SERVER, 0, (_QUERY, _ORIGIN)),
+        4: (SERVER, FLAG_STALE_FORWARD, (_QUERY, _WASTED, _ORIGIN)),
     }
 
-    def __init__(self, architecture, columns, requests=None) -> None:
-        super().__init__(architecture, columns, requests)
-        topology = architecture.topology
-        self._l1_all = topology.l1_of_clients(columns.client)
-        self._dist_rows = topology.distance_matrix().tolist()
-        # Pure local hits on unbounded caches skip promotion and the
-        # ``_now`` stamp: the directory's zero propagation delay makes the
-        # retraction timestamp unobservable, and crash retractions are
-        # invisible (no schedule at all).
-        self._l1_entries = [
-            cache._entries if cache.capacity_bytes is None else None
-            for cache in architecture.l1_caches
-        ]
-
-    def process_batch(self, idx: np.ndarray) -> _BatchResult:
-        columns = self.columns
-        times = columns.time[idx].tolist()
-        oids = columns.object[idx].tolist()
-        versions = columns.version[idx].tolist()
-        sizes_list = columns.size[idx].tolist()
-        l1_list = self._l1_all[idx].tolist()
-
+    def _miss_hook(self):
         arch = self.arch
         caches = arch.l1_caches
-        l1_entries = self._l1_entries
         directory = arch.directory
-        find = directory.find
-        inform = directory.inform
-        drop_visible = directory.drop_visible
         truth = directory._truth
         dist_rows = self._dist_rows
-        hit = LookupResult.HIT
         faulted = self.faulted
 
-        pattern_list = []
-        miss_row_list = []
-        holder_list = []
-        point_list = []
-        p_append = pattern_list.append
-        m_append = miss_row_list.append
-        h_append = holder_list.append
-        a_append = point_list.append
-        row = -1
-        for t, oid, version, size, l1i in zip(
-            times, oids, versions, sizes_list, l1_list
-        ):
-            row += 1
-            entries = l1_entries[l1i]
-            if entries is not None:
-                entry = entries.get(oid)
-                if entry is not None and entry.version >= version:
-                    p_append(1)
-                    continue
-                arch._now = t
-                cache = caches[l1i]
-                if entry is not None:
-                    cache.lookup(oid, version)  # STALE: invalidate + retract
-            else:
-                arch._now = t
-                cache = caches[l1i]
-                if cache.lookup(oid, version) is hit:
-                    p_append(1)
-                    continue
-            m_append(row)
-            lookup = find(t, oid, l1i)
-            holders = lookup.holders
-            if faulted:
-                # Quiescent window of ``_process_faulted``: trust the
-                # visible map without the freshness filter, and discover
-                # missing copies via the probe itself.
-                if holders:
-                    drow = dist_rows[l1i]
-                    holder = min(holders, key=lambda h: (drow[h], h))
-                    point = drow[holder]
-                    if caches[holder].lookup(oid, version) is hit:
-                        cache.insert(oid, size, version)
-                        inform(t, oid, l1i, version)
-                        p_append(2)
-                        h_append(holder)
-                        a_append(point)
-                        continue
-                    drop_visible(oid, holder)
-                    cache.insert(oid, size, version)
-                    inform(t, oid, l1i, version)
-                    p_append(4)
-                    h_append(holder)
-                    a_append(point)
-                    continue
-                cache.insert(oid, size, version)
-                inform(t, oid, l1i, version)
-                p_append(3)
-                h_append(-1)
-                a_append(4)
-                continue
-            holder = None
+        def miss(i, t, oid, version, size, l1i, cache, stale):
+            holders = directory.find(t, oid, l1i).holders
+            if holders and not faulted:
+                truth_map = truth.get(oid, {})
+                holders = [h for h in holders if truth_map.get(h, -1) >= version]
+            pattern, holder, point = 3, -1, 0
             if holders:
-                truth_map = truth.get(oid)
-                if truth_map:
-                    fresh = [
-                        h for h in holders if truth_map.get(h, -1) >= version
-                    ]
+                drow = dist_rows[l1i]
+                holder = min(holders, key=lambda h: (drow[h], h))
+                point = drow[holder]
+                # Healthy holders are fresh, so this always hits (and
+                # refreshes the peer's LRU); faulted ones may be corpses.
+                if caches[holder].lookup(oid, version) is _HIT:
+                    pattern = 2
                 else:
-                    fresh = []
-                if fresh:
-                    drow = dist_rows[l1i]
-                    holder = min(fresh, key=lambda h: (drow[h], h))
-            if holder is not None:
-                point = dist_rows[l1i][holder]
-                caches[holder].lookup(oid, version)  # refresh peer LRU
-                cache.insert(oid, size, version)
-                inform(t, oid, l1i, version)
-                p_append(2)
-                h_append(holder)
-                a_append(point)
-                continue
+                    directory.drop_visible(oid, holder)
+                    pattern = 4
             cache.insert(oid, size, version)
-            inform(t, oid, l1i, version)
-            p_append(3)
-            h_append(-1)
-            a_append(4)
+            directory.inform(t, oid, l1i, version)
+            return pattern, holder, point
 
-        pattern = np.array(pattern_list, dtype=np.int64)
-        n = len(pattern)
-        miss_rows = np.array(miss_row_list, dtype=np.int64)
-        aux_point = np.full(n, 4, dtype=np.int64)
-        if miss_rows.size:
-            aux_point[miss_rows] = np.array(point_list, dtype=np.int64)
-        sizes = columns.size[idx]
-        cost = arch.cost_model
+        return miss
 
-        s0 = np.zeros(n, dtype=np.float64)
-        s1 = np.zeros(n, dtype=np.float64)
-        s2 = np.zeros(n, dtype=np.float64)
-        local_rows = pattern == 1
-        if local_rows.any():
-            s0[local_rows] = cost.via_l1_ms_batch(
-                AccessPoint.L1, sizes[local_rows]
-            )
-        nonlocal_rows = ~local_rows
-        s0[nonlocal_rows] = cost.probe_ms(arch.directory_point)
-        remote_rows = pattern == 2
-        for point in (AccessPoint.L2, AccessPoint.L3):
-            rows = remote_rows & (aux_point == int(point))
-            if rows.any():
-                s1[rows] = cost.via_l1_ms_batch(point, sizes[rows])
-        plain_miss = pattern == 3
-        if plain_miss.any():
-            s1[plain_miss] = cost.via_l1_ms_batch(
-                AccessPoint.SERVER, sizes[plain_miss]
-            )
-        stale_rows = pattern == 4
-        if stale_rows.any():
-            for point in (AccessPoint.L2, AccessPoint.L3):
-                rows = stale_rows & (aux_point == int(point))
-                if rows.any():
-                    s1[rows] = cost.probe_ms(point)
-            s2[stale_rows] = cost.via_l1_ms_batch(
-                AccessPoint.SERVER, sizes[stale_rows]
-            )
 
-        result_point = np.where(
-            local_rows, 1, np.where(remote_rows, aux_point, 4)
-        )
-        flags = np.zeros(n, dtype=np.int64)
-        flags[remote_rows] = FLAG_REMOTE_HIT
-        flags[stale_rows] = FLAG_STALE_FORWARD
-        holder = self._l1_all[idx].copy()
-        if miss_rows.size:
-            holder[miss_rows] = np.array(holder_list, dtype=np.int64)
-        return _BatchResult(pattern, result_point, holder, flags, [s0, s1, s2])
-
-    def result_for(self, batch: _BatchResult, row: int) -> "AccessResult":
-        from repro.obs.journey import Journey
-
-        pattern = int(batch.pattern[row])
-        s0 = float(batch.slot_costs[0][row])
-        s1 = float(batch.slot_costs[1][row])
-        aux = int(batch.aux[row])
-        journey = Journey()
-        if pattern == 1:
-            journey.local_lookup(s0, target=f"l1:{aux}")
-            return journey.result(AccessPoint.L1, hit=True)
-        journey.peer_probe(s0, target="directory")
-        if pattern == 2:
-            journey.transfer(s1, target=f"l1:{aux}")
-            return journey.result(
-                AccessPoint(int(batch.point[row])), hit=True, remote_hit=True
-            )
-        if pattern == 4:
-            journey.peer_probe(s1, target=f"l1:{aux}", wasted=True)
-            journey.mark_stale_forward()
-            journey.origin_fetch(float(batch.slot_costs[2][row]))
-            return journey.result(AccessPoint.SERVER, hit=False)
-        journey.origin_fetch(s1)
-        return journey.result(AccessPoint.SERVER, hit=False)
+#: Hint-family pattern ids (pattern 1 is the local hit).
+REMOTE, MISS, FALSE_POS, FALSE_NEG, SUBOPTIMAL, FALSE_POS_AT = 2, 3, 4, 5, 6, 7
 
 
 class HintKernel(_Kernel):
-    """Vectorized path of plain :class:`HintHierarchy`.
+    """Vectorized path of the hint family.
 
-    Plain = no push policy and no ideal-push accounting; under those the
-    reference path's stale-holder snapshot and push-mark consumption are
-    provably free of state effects, so the healthy loop below calls
-    exactly the mutating operations the reference calls, in the same
-    order: L1 lookup, directory find, nearest-holder probe, false-positive
-    recording, push-stats clock/byte accounting, demand store + inform.
-
-    The faulted loop replays ``_process_faulted``'s quiescent window: it
-    skips the push-stats accounting entirely, re-applies the propagation
-    delay per span (idempotent at zero skew), and stamps a target on the
-    false-positive journey's hint-lookup step -- the reference path's only
-    journey-shape difference.
+    Covers :class:`HintHierarchy` (plain, push policies, and the
+    ideal-push bound), :class:`ClientHintHierarchy` and
+    :class:`MessageLevelHintHierarchy`.  The variants share the probe
+    loop, the healthy and quiescent-faulted modes share it too, and each
+    variant differs only by its per-miss hook and table (``VARIANTS``).
+    Pure local hits on unbounded caches skip the LRU promotion and the
+    ``arch._now`` stamp (which only eviction retractions read).
     """
 
-    P_LOCAL = 1
-    P_REMOTE = 2
-    P_MISS = 3
-    P_MISS_FP = 4
-    P_MISS_FN = 5
-
-    STEP_TABLE = {
-        1: ((0, "local_lookup", False),),
-        2: ((0, "hint_lookup", False), (1, "transfer", False)),
-        3: ((0, "hint_lookup", False), (1, "origin_fetch", False)),
-        4: (
-            (0, "hint_lookup", False),
-            (1, "peer_probe", True),
-            (2, "origin_fetch", False),
-        ),
-        5: ((0, "hint_lookup", False), (1, "origin_fetch", False)),
+    STAMP = True
+    VARIANTS = {
+        "HintHierarchy": ("_hint_miss", {
+            1: (L1, 0, (_LOCAL,)),
+            REMOTE: (ROW, FLAG_REMOTE_HIT, (_HINTED, _TRANSFER)),
+            SUBOPTIMAL: (ROW, FLAG_REMOTE_HIT | FLAG_SUBOPTIMAL, (_HINTED, _TRANSFER)),
+            MISS: (SERVER, 0, (_HINT, _ORIGIN)),
+            FALSE_NEG: (SERVER, FLAG_FALSE_NEGATIVE, (_HINT, _ORIGIN)),
+            FALSE_POS: (SERVER, FLAG_FALSE_POSITIVE, (_HINT, _WASTED, _ORIGIN)),
+            # ``_process_faulted`` stamps the probed holder on the lookup.
+            FALSE_POS_AT: (SERVER, FLAG_FALSE_POSITIVE, (_HINTED, _WASTED, _ORIGIN)),
+        }),
+        "ClientHintHierarchy": ("_client_miss", {
+            1: (L1, 0, (_LOCAL._replace(price=DIRECT),)),
+            REMOTE: (ROW, FLAG_REMOTE_HIT, (_TRANSFER._replace(price=DIRECT),)),
+            MISS: (SERVER, 0, (_DIRECT_ORIGIN,)),
+            FALSE_NEG: (SERVER, FLAG_FALSE_NEGATIVE, (_DIRECT_ORIGIN,)),
+            FALSE_POS: (SERVER, FLAG_FALSE_POSITIVE, (_WASTED, _DIRECT_ORIGIN)),
+        }),
+        "MessageLevelHintHierarchy": ("_message_miss", {
+            1: (L1, 0, (_LOCAL,)),
+            REMOTE: (ROW, FLAG_REMOTE_HIT, (_HINTED, _TRANSFER)),
+            MISS: (SERVER, 0, (_ORIGIN,)),
+            FALSE_NEG: (SERVER, FLAG_FALSE_NEGATIVE, (_ORIGIN,)),
+            FALSE_POS: (SERVER, FLAG_FALSE_POSITIVE, (_WASTED, _ORIGIN)),
+        }),
     }
 
-    def __init__(self, architecture, columns, requests=None) -> None:
-        super().__init__(architecture, columns, requests)
-        topology = architecture.topology
-        self._l1_all = topology.l1_of_clients(columns.client)
-        self._dist_rows = topology.distance_matrix().tolist()
-        # Same unbounded-cache shortcut as the hierarchy kernel: a pure
-        # local HIT mutates nothing observable, so it needs neither the
-        # LRU promotion nor the ``arch._now`` stamp (which only eviction
-        # retractions read).
-        self._l1_entries = [
-            cache._entries if cache.capacity_bytes is None else None
-            for cache in architecture.l1_caches
-        ]
+    def __init__(self, architecture, trace) -> None:
+        self._hook, self.STEPS = self.VARIANTS[type(architecture).__name__]
+        super().__init__(architecture, trace)
+
+    def _miss_hook(self):
+        return getattr(self, self._hook)()
 
     def span_begin(self) -> None:
-        if self.faulted:
+        if self._hook == "_hint_miss":
             # StaleHintDrift re-application, per ``_process_faulted``:
             # quiescent windows have zero skew, so this is idempotent per
             # span (the reference re-assigns the same value per request).
@@ -751,953 +633,160 @@ class HintKernel(_Kernel):
                 arch._base_hint_delay_s + arch.faults.hint_delay_skew_s
             )
 
-    def process_batch(self, idx: np.ndarray) -> _BatchResult:
-        if self.faulted:
-            return self._process_batch_faulted(idx)
-        return self._process_batch_healthy(idx)
+    def _hint_miss(self):
+        """HintHierarchy: directory hint, nearest-holder probe, push hooks.
 
-    def _process_batch_healthy(self, idx: np.ndarray) -> _BatchResult:
-        columns = self.columns
-        times = columns.time[idx].tolist()
-        oids = columns.object[idx].tolist()
-        versions = columns.version[idx].tolist()
-        sizes_list = columns.size[idx].tolist()
-        l1_list = self._l1_all[idx].tolist()
-
+        The hook calls exactly the mutating operations the reference
+        calls, in the same order: directory find, nearest-holder probe,
+        false-positive recording, push-stats accounting (healthy only),
+        demand store + inform (skipped by ideal-push remote hits),
+        push-policy dispatch through the architecture's own
+        ``_apply_pushes``.
+        """
         arch = self.arch
         caches = arch.l1_caches
-        l1_entries = self._l1_entries
         directory = arch.directory
-        find = directory.find
-        record_fp = directory.record_false_positive
-        inform = directory.inform
-        truth = directory._truth
+        find, inform, truth = directory.find, directory.inform, directory._truth
         push_stats = arch.push_stats
-        note_time = push_stats.note_time
-        dist_rows = self._dist_rows
-        hit = LookupResult.HIT
-
-        # Local hits append only a pattern; holder/point/flag for them are
-        # the requester's L1 / AccessPoint.L1 / 0, scattered in afterwards.
-        pattern_list = []
-        miss_row_list = []  # batch-local row index of each non-local row
-        holder_list = []
-        aux_point_list = []
-        flag_list = []
-        p_append = pattern_list.append
-        m_append = miss_row_list.append
-        h_append = holder_list.append
-        a_append = aux_point_list.append
-        f_append = flag_list.append
-        row = -1
-        for t, oid, version, size, l1i in zip(
-            times, oids, versions, sizes_list, l1_list
-        ):
-            row += 1
-            entries = l1_entries[l1i]
-            if entries is not None:
-                entry = entries.get(oid)
-                if entry is not None and entry.version >= version:
-                    p_append(1)
-                    continue
-                arch._now = t
-                cache = caches[l1i]
-                if entry is not None:
-                    cache.lookup(oid, version)  # STALE: invalidate + retract
-            else:
-                arch._now = t
-                cache = caches[l1i]
-                if cache.lookup(oid, version) is hit:
-                    p_append(1)
-                    continue
-            m_append(row)
-            lookup = find(t, oid, l1i)
-            holders = lookup.holders
-            if holders:
-                drow = dist_rows[l1i]
-                holder = min(holders, key=lambda h: (drow[h], h))
-                point = drow[holder]
-                if caches[holder].lookup(oid, version) is hit:
-                    held_map = truth.get(oid)
-                    suboptimal = False
-                    if held_map:
-                        for node, held in held_map.items():
-                            if (
-                                held >= version
-                                and node != l1i
-                                and drow[node] < point
-                            ):
-                                suboptimal = True
-                                break
-                    note_time(t)
-                    push_stats.demand_bytes += size
-                    cache.insert(oid, size, version)
-                    inform(t, oid, l1i, version)
-                    p_append(2)
-                    h_append(holder)
-                    a_append(point)
-                    f_append(
-                        FLAG_REMOTE_HIT | FLAG_SUBOPTIMAL
-                        if suboptimal
-                        else FLAG_REMOTE_HIT
-                    )
-                    continue
-                record_fp()
-                note_time(t)
-                push_stats.demand_bytes += size
-                cache.insert(oid, size, version)
-                inform(t, oid, l1i, version)
-                p_append(4)
-                h_append(holder)
-                a_append(point)
-                f_append(FLAG_FALSE_POSITIVE)
-                continue
-            note_time(t)
-            push_stats.demand_bytes += size
-            cache.insert(oid, size, version)
-            inform(t, oid, l1i, version)
-            if lookup.false_negative:
-                p_append(5)
-                f_append(FLAG_FALSE_NEGATIVE)
-            else:
-                p_append(3)
-                f_append(0)
-            h_append(-1)
-            a_append(4)
-
-        return self._finalize(
-            idx, pattern_list, miss_row_list, holder_list, aux_point_list,
-            flag_list,
-        )
-
-    def _process_batch_faulted(self, idx: np.ndarray) -> _BatchResult:
-        """Quiescent window of ``_process_faulted``: no node down, zero
-        loss probability (no RNG draw), identity latency -- but no
-        push-stats accounting, and every store informs visibly."""
-        columns = self.columns
-        times = columns.time[idx].tolist()
-        oids = columns.object[idx].tolist()
-        versions = columns.version[idx].tolist()
-        sizes_list = columns.size[idx].tolist()
-        l1_list = self._l1_all[idx].tolist()
-
-        arch = self.arch
-        caches = arch.l1_caches
-        l1_entries = self._l1_entries
-        directory = arch.directory
-        find = directory.find
-        record_fp = directory.record_false_positive
-        inform = directory.inform
-        truth = directory._truth
-        dist_rows = self._dist_rows
-        hit = LookupResult.HIT
-
-        pattern_list = []
-        miss_row_list = []
-        holder_list = []
-        aux_point_list = []
-        flag_list = []
-        p_append = pattern_list.append
-        m_append = miss_row_list.append
-        h_append = holder_list.append
-        a_append = aux_point_list.append
-        f_append = flag_list.append
-        row = -1
-        for t, oid, version, size, l1i in zip(
-            times, oids, versions, sizes_list, l1_list
-        ):
-            row += 1
-            entries = l1_entries[l1i]
-            if entries is not None:
-                entry = entries.get(oid)
-                if entry is not None and entry.version >= version:
-                    p_append(1)
-                    continue
-                arch._now = t
-                cache = caches[l1i]
-                if entry is not None:
-                    cache.lookup(oid, version)  # STALE: invalidate + retract
-            else:
-                arch._now = t
-                cache = caches[l1i]
-                if cache.lookup(oid, version) is hit:
-                    p_append(1)
-                    continue
-            m_append(row)
-            lookup = find(t, oid, l1i)
-            holders = lookup.holders
-            if holders:
-                drow = dist_rows[l1i]
-                holder = min(holders, key=lambda h: (drow[h], h))
-                point = drow[holder]
-                if caches[holder].lookup(oid, version) is hit:
-                    held_map = truth.get(oid)
-                    suboptimal = False
-                    if held_map:
-                        for node, held in held_map.items():
-                            if (
-                                held >= version
-                                and node != l1i
-                                and drow[node] < point
-                            ):
-                                suboptimal = True
-                                break
-                    cache.insert(oid, size, version)
-                    inform(t, oid, l1i, version)
-                    p_append(2)
-                    h_append(holder)
-                    a_append(point)
-                    f_append(
-                        FLAG_REMOTE_HIT | FLAG_SUBOPTIMAL
-                        if suboptimal
-                        else FLAG_REMOTE_HIT
-                    )
-                    continue
-                record_fp()
-                cache.insert(oid, size, version)
-                inform(t, oid, l1i, version)
-                p_append(4)
-                h_append(holder)
-                a_append(point)
-                f_append(FLAG_FALSE_POSITIVE)
-                continue
-            cache.insert(oid, size, version)
-            inform(t, oid, l1i, version)
-            if lookup.false_negative:
-                p_append(5)
-                f_append(FLAG_FALSE_NEGATIVE)
-            else:
-                p_append(3)
-                f_append(0)
-            h_append(-1)
-            a_append(4)
-
-        return self._finalize(
-            idx, pattern_list, miss_row_list, holder_list, aux_point_list,
-            flag_list,
-        )
-
-    def _finalize(
-        self,
-        idx,
-        pattern_list,
-        miss_row_list,
-        holder_list,
-        aux_point_list,
-        flag_list,
-        push_hit_rows=None,
-    ) -> _BatchResult:
-        """Price one hint batch (cost reconstruction gets its own span)."""
-        profiler = profiling.active()
-        if profiler is None:
-            return self._price(
-                idx, pattern_list, miss_row_list, holder_list, aux_point_list,
-                flag_list, push_hit_rows,
-            )
-        with profiler.span(
-            "cost_reconstruct", category="fastpath", rows=len(pattern_list)
-        ):
-            return self._price(
-                idx, pattern_list, miss_row_list, holder_list, aux_point_list,
-                flag_list, push_hit_rows,
-            )
-
-    def _price(
-        self,
-        idx,
-        pattern_list,
-        miss_row_list,
-        holder_list,
-        aux_point_list,
-        flag_list,
-        push_hit_rows=None,
-    ) -> _BatchResult:
-        """Price one hint batch from the state loop's row lists."""
-        columns = self.columns
-        arch = self.arch
-        pattern = np.array(pattern_list, dtype=np.int64)
-        n = len(pattern)
-        miss_rows = np.array(miss_row_list, dtype=np.int64)
-        aux_point = np.ones(n, dtype=np.int64)
-        if miss_rows.size:
-            aux_point[miss_rows] = np.array(aux_point_list, dtype=np.int64)
-        sizes = columns.size[idx]
-        cost = arch.cost_model
-        hint_ms = cost.hint_lookup_ms()
-
-        s0 = np.zeros(n, dtype=np.float64)
-        s1 = np.zeros(n, dtype=np.float64)
-        s2 = np.zeros(n, dtype=np.float64)
-        local_rows = pattern == 1
-        if local_rows.any():
-            s0[local_rows] = cost.via_l1_ms_batch(
-                AccessPoint.L1, sizes[local_rows]
-            )
-        nonlocal_rows = ~local_rows
-        s0[nonlocal_rows] = hint_ms
-        remote_rows = pattern == 2
-        # L1 appears only under ideal-push accounting (charged point).
-        for point in (AccessPoint.L1, AccessPoint.L2, AccessPoint.L3):
-            rows = remote_rows & (aux_point == int(point))
-            if rows.any():
-                s1[rows] = cost.via_l1_ms_batch(point, sizes[rows])
-        plain_miss = (pattern == 3) | (pattern == 5)
-        if plain_miss.any():
-            s1[plain_miss] = cost.via_l1_ms_batch(
-                AccessPoint.SERVER, sizes[plain_miss]
-            )
-        fp_rows = pattern == 4
-        if fp_rows.any():
-            for point in (AccessPoint.L2, AccessPoint.L3):
-                rows = fp_rows & (aux_point == int(point))
-                if rows.any():
-                    s1[rows] = cost.probe_ms(point)
-            s2[fp_rows] = cost.via_l1_ms_batch(AccessPoint.SERVER, sizes[fp_rows])
-
-        result_point = np.where(
-            pattern == 1, 1, np.where(remote_rows, aux_point, 4)
-        )
-        flags = np.zeros(n, dtype=np.int64)
-        # aux carries the holder / local proxy index for journey targets
-        # (the transfer point of a remote hit is result_point itself).
-        holder = self._l1_all[idx].copy()
-        if miss_rows.size:
-            flags[miss_rows] = np.array(flag_list, dtype=np.int64)
-            holder[miss_rows] = np.array(holder_list, dtype=np.int64)
-        if push_hit_rows:
-            flags[np.array(push_hit_rows, dtype=np.int64)] = FLAG_PUSH_HIT
-        return _BatchResult(pattern, result_point, holder, flags, [s0, s1, s2])
-
-    def result_for(self, batch: _BatchResult, row: int) -> "AccessResult":
-        from repro.obs.journey import Journey
-
-        pattern = int(batch.pattern[row])
-        s0 = float(batch.slot_costs[0][row])
-        s1 = float(batch.slot_costs[1][row])
-        s2 = float(batch.slot_costs[2][row])
-        holder = int(batch.aux[row])
-        flags = int(batch.flags[row])
-        journey = Journey()
-        if pattern == 1:
-            journey.local_lookup(s0, target=f"l1:{holder}")
-            if flags & FLAG_PUSH_HIT:
-                journey.mark_push_hit()
-            return journey.result(AccessPoint.L1, hit=True)
-        if pattern == 2:
-            journey.hint_lookup(s0, target=f"l1:{holder}")
-            journey.transfer(s1, target=f"l1:{holder}")
-            if flags & FLAG_SUBOPTIMAL:
-                journey.mark_suboptimal()
-            return journey.result(
-                AccessPoint(int(batch.point[row])), hit=True, remote_hit=True
-            )
-        if pattern == 4:
-            if self.faulted:
-                # ``_process_faulted`` stamps the probed holder on the
-                # hint-lookup step; the healthy path leaves it blank.
-                journey.hint_lookup(s0, target=f"l1:{holder}")
-            else:
-                journey.hint_lookup(s0)
-            journey.peer_probe(s1, target=f"l1:{holder}", wasted=True)
-            journey.mark_false_positive()
-            journey.origin_fetch(s2)
-            return journey.result(AccessPoint.SERVER, hit=False)
-        journey.hint_lookup(s0)
-        if pattern == 5:
-            journey.mark_false_negative()
-        journey.origin_fetch(s1)
-        return journey.result(AccessPoint.SERVER, hit=False)
-
-
-class PushHintKernel(HintKernel):
-    """Vectorized path of :class:`HintHierarchy` with push accounting.
-
-    Covers push policies (``repro.push.hierarchical`` / ``update_push``)
-    and the ideal-push bound (``charge_remote_as_l1``).  The state loop
-    drives the *same live policy object* through ``on_remote_fetch`` /
-    ``on_server_fetch`` and applies its actions through the
-    architecture's own ``_apply_pushes`` -- so seeded target-selection
-    RNG streams, budget accounting, pending-push marks, and LRU demotion
-    all advance exactly as in the reference loop.  Requires materialized
-    requests (policies receive real ``Request`` objects).
-
-    Under a fault plan the inherited faulted loop applies unchanged:
-    ``_process_faulted`` ignores push policies and ideal accounting.
-    """
-
-    NEEDS_REQUESTS = True
-
-    def _process_batch_healthy(self, idx: np.ndarray) -> _BatchResult:
-        columns = self.columns
-        times = columns.time[idx].tolist()
-        oids = columns.object[idx].tolist()
-        versions = columns.version[idx].tolist()
-        sizes_list = columns.size[idx].tolist()
-        l1_list = self._l1_all[idx].tolist()
-        idx_list = idx.tolist()
-
-        arch = self.arch
-        caches = arch.l1_caches
-        l1_entries = self._l1_entries
-        directory = arch.directory
-        find = directory.find
-        record_fp = directory.record_false_positive
-        inform = directory.inform
-        truth = directory._truth
-        push_stats = arch.push_stats
-        note_time = push_stats.note_time
-        dist_rows = self._dist_rows
-        hit = LookupResult.HIT
-        stale = LookupResult.STALE
-        requests = self.requests
-        policy = arch.push_policy
-        ideal = arch.charge_remote_as_l1
         apply_pushes = arch._apply_pushes
-        # Local hits are the steady-state bulk, so the consume-mark check
-        # is inlined: one dict pop replaces the method call, and the
-        # stats/peek work only runs when a mark actually existed.  The
-        # dict itself stays live (eviction pops from the same object).
-        pending_pop = arch._pending_push.pop
-        peek_caches = [cache.peek for cache in caches]
+        dist_rows = self._dist_rows
+        requests = self.requests
+        faulted = self.faulted
+        # ``_process_faulted`` ignores push policies and ideal accounting.
+        policy = None if faulted else arch.push_policy
+        ideal = not faulted and arch.charge_remote_as_l1
 
-        pattern_list = []
-        miss_row_list = []
-        holder_list = []
-        aux_point_list = []
-        flag_list = []
-        push_hit_rows: list[int] = []
-        p_append = pattern_list.append
-        m_append = miss_row_list.append
-        h_append = holder_list.append
-        a_append = aux_point_list.append
-        f_append = flag_list.append
-        row = -1
-        for t, oid, version, size, l1i, gi in zip(
-            times, oids, versions, sizes_list, l1_list, idx_list
-        ):
-            row += 1
-            entries = l1_entries[l1i]
-            local_had_stale = False
-            if entries is not None:
-                entry = entries.get(oid)
-                if entry is not None and entry.version >= version:
-                    p_append(1)
-                    pushed = pending_pop((l1i, oid), None)
-                    if pushed is not None and pushed >= version:
-                        push_stats.used_count += 1
-                        peeked = peek_caches[l1i](oid)
-                        push_stats.used_bytes += peeked.size if peeked else 0
-                        push_hit_rows.append(row)
-                    continue
-                arch._now = t
-                cache = caches[l1i]
-                if entry is not None:
-                    local_had_stale = cache.lookup(oid, version) is stale
-            else:
-                arch._now = t
-                cache = caches[l1i]
-                local = cache.lookup(oid, version)
-                if local is hit:
-                    p_append(1)
-                    pushed = pending_pop((l1i, oid), None)
-                    if pushed is not None and pushed >= version:
-                        push_stats.used_count += 1
-                        peeked = peek_caches[l1i](oid)
-                        push_stats.used_bytes += peeked.size if peeked else 0
-                        push_hit_rows.append(row)
-                    continue
-                local_had_stale = local is stale
-            m_append(row)
+        def miss(i, t, oid, version, size, l1i, cache, stale):
             lookup = find(t, oid, l1i)
-            holders = lookup.holders
-            drow = dist_rows[l1i]
-            # Snapshot stale holders before any probe (the reference's
-            # "recently invalidated" update-push candidate list).
-            truth_map = truth.get(oid)
-            if truth_map:
+            if policy is not None:
+                # Snapshot stale holders before any probe (the reference's
+                # "recently invalidated" update-push candidate list).
                 stale_holders = {
                     node: held
-                    for node, held in truth_map.items()
+                    for node, held in truth.get(oid, {}).items()
                     if held < version and node != l1i
                 }
-            else:
-                stale_holders = {}
+            holders = lookup.holders
             if holders:
+                drow = dist_rows[l1i]
                 holder = min(holders, key=lambda h: (drow[h], h))
                 point = drow[holder]
-                if caches[holder].lookup(oid, version) is hit:
-                    charged_point = 1 if ideal else point
-                    suboptimal = False
-                    if truth_map:
-                        for node, held in truth_map.items():
-                            if (
-                                held >= version
-                                and node != l1i
-                                and drow[node] < point
-                            ):
-                                suboptimal = True
-                                break
-                    note_time(t)
-                    push_stats.demand_bytes += size
+                if caches[holder].lookup(oid, version) is _HIT:
+                    pattern = REMOTE
+                    for node, held in truth.get(oid, {}).items():
+                        if held >= version and node != l1i and drow[node] < point:
+                            pattern = SUBOPTIMAL
+                            break
+                    if not faulted:
+                        push_stats.note_time(t)
+                        push_stats.demand_bytes += size
                     if not ideal:
                         cache.insert(oid, size, version)
                         inform(t, oid, l1i, version)
                     if policy is not None:
                         actions = policy.on_remote_fetch(
                             now=t,
-                            request=requests[gi],
+                            request=requests[i],
                             requester_l1=l1i,
                             source_l1=holder,
                             lca_level=point,
                         )
                         apply_pushes(actions, exclude={l1i, holder})
-                    p_append(2)
-                    h_append(holder)
-                    a_append(charged_point)
-                    f_append(
-                        FLAG_REMOTE_HIT | FLAG_SUBOPTIMAL
-                        if suboptimal
-                        else FLAG_REMOTE_HIT
-                    )
-                    continue
-                record_fp()
-                communication_miss = local_had_stale or bool(stale_holders)
-                note_time(t)
+                    return pattern, holder, 1 if ideal else point
+                directory.record_false_positive()
+                pattern = FALSE_POS_AT if faulted else FALSE_POS
+            else:
+                pattern = FALSE_NEG if lookup.false_negative else MISS
+                holder, point = -1, 0
+            if not faulted:
+                push_stats.note_time(t)
                 push_stats.demand_bytes += size
-                cache.insert(oid, size, version)
-                inform(t, oid, l1i, version)
-                if policy is not None:
-                    actions = policy.on_server_fetch(
-                        now=t,
-                        request=requests[gi],
-                        requester_l1=l1i,
-                        communication_miss=communication_miss,
-                        stale_holders=stale_holders,
-                    )
-                    apply_pushes(actions, exclude={l1i})
-                p_append(4)
-                h_append(holder)
-                a_append(point)
-                f_append(FLAG_FALSE_POSITIVE)
-                continue
-            communication_miss = local_had_stale or bool(stale_holders)
-            note_time(t)
-            push_stats.demand_bytes += size
             cache.insert(oid, size, version)
             inform(t, oid, l1i, version)
             if policy is not None:
                 actions = policy.on_server_fetch(
                     now=t,
-                    request=requests[gi],
+                    request=requests[i],
                     requester_l1=l1i,
-                    communication_miss=communication_miss,
+                    communication_miss=stale or bool(stale_holders),
                     stale_holders=stale_holders,
                 )
                 apply_pushes(actions, exclude={l1i})
-            if lookup.false_negative:
-                p_append(5)
-                f_append(FLAG_FALSE_NEGATIVE)
-            else:
-                p_append(3)
-                f_append(0)
-            h_append(-1)
-            a_append(4)
+            return pattern, holder, point
 
-        return self._finalize(
-            idx, pattern_list, miss_row_list, holder_list, aux_point_list,
-            flag_list, push_hit_rows=push_hit_rows,
-        )
+        return miss
 
+    def _client_miss(self):
+        """ClientHintHierarchy: the seeded false-negative coin, then a hint.
 
-class ClientHintKernel(_Kernel):
-    """Vectorized path of :class:`ClientHintHierarchy`.
-
-    Direct client-to-cache pricing, plus the seeded false-negative coin:
-    the loop replays the reference's short-circuit draw (``rate > 0.0 and
-    rng.random() < rate``) exactly once per non-local request, so the RNG
-    stream stays aligned.  The architecture has no degraded request path,
-    so the same loop serves quiescent fault windows.
-    """
-
-    P_LOCAL = 1
-    P_REMOTE = 2
-    P_MISS = 3
-    P_MISS_FP = 4
-    P_MISS_FN = 5
-
-    STEP_TABLE = {
-        1: ((0, "local_lookup", False),),
-        2: ((0, "transfer", False),),
-        3: ((0, "origin_fetch", False),),
-        4: ((0, "peer_probe", True), (1, "origin_fetch", False)),
-        5: ((0, "origin_fetch", False),),
-    }
-
-    def __init__(self, architecture, columns, requests=None) -> None:
-        super().__init__(architecture, columns, requests)
-        topology = architecture.topology
-        self._l1_all = topology.l1_of_clients(columns.client)
-        self._dist_rows = topology.distance_matrix().tolist()
-        self._l1_entries = [
-            cache._entries if cache.capacity_bytes is None else None
-            for cache in architecture.l1_caches
-        ]
-
-    def process_batch(self, idx: np.ndarray) -> _BatchResult:
-        columns = self.columns
-        times = columns.time[idx].tolist()
-        oids = columns.object[idx].tolist()
-        versions = columns.version[idx].tolist()
-        sizes_list = columns.size[idx].tolist()
-        l1_list = self._l1_all[idx].tolist()
-
+        Replays the reference's short-circuit draw (``rate > 0.0 and
+        rng.random() < rate``) exactly once per miss, so the RNG stream
+        stays aligned.  The architecture has no degraded request path.
+        """
         arch = self.arch
         caches = arch.l1_caches
-        l1_entries = self._l1_entries
         directory = arch.directory
-        find = directory.find
-        record_fp = directory.record_false_positive
-        inform = directory.inform
-        dist_rows = self._dist_rows
-        hit = LookupResult.HIT
         rate = arch.client_false_negative_rate
-        rng_random = arch._rng.random
+        draw = arch._rng.random
+        dist_rows = self._dist_rows
 
-        pattern_list = []
-        miss_row_list = []
-        holder_list = []
-        aux_point_list = []
-        flag_list = []
-        p_append = pattern_list.append
-        m_append = miss_row_list.append
-        h_append = holder_list.append
-        a_append = aux_point_list.append
-        f_append = flag_list.append
-        row = -1
-        for t, oid, version, size, l1i in zip(
-            times, oids, versions, sizes_list, l1_list
-        ):
-            row += 1
-            entries = l1_entries[l1i]
-            if entries is not None:
-                entry = entries.get(oid)
-                if entry is not None and entry.version >= version:
-                    p_append(1)
-                    continue
-                arch._now = t
-                cache = caches[l1i]
-                if entry is not None:
-                    cache.lookup(oid, version)  # STALE: invalidate + retract
+        def miss(i, t, oid, version, size, l1i, cache, stale):
+            pattern, holder, point = MISS, -1, 0
+            if rate > 0.0 and draw() < rate:
+                pattern = FALSE_NEG
             else:
-                arch._now = t
-                cache = caches[l1i]
-                if cache.lookup(oid, version) is hit:
-                    p_append(1)
-                    continue
-            m_append(row)
-            degraded = rate > 0.0 and rng_random() < rate
-            if not degraded:
-                lookup = find(t, oid, l1i)
-                holders = lookup.holders
+                holders = directory.find(t, oid, l1i).holders
                 if holders:
                     drow = dist_rows[l1i]
                     holder = min(holders, key=lambda h: (drow[h], h))
                     point = drow[holder]
-                    if caches[holder].lookup(oid, version) is hit:
-                        cache.insert(oid, size, version)
-                        inform(t, oid, l1i, version)
-                        p_append(2)
-                        h_append(holder)
-                        a_append(point)
-                        f_append(FLAG_REMOTE_HIT)
-                        continue
-                    record_fp()
-                    cache.insert(oid, size, version)
-                    inform(t, oid, l1i, version)
-                    p_append(4)
-                    h_append(holder)
-                    a_append(point)
-                    f_append(FLAG_FALSE_POSITIVE)
-                    continue
+                    if caches[holder].lookup(oid, version) is _HIT:
+                        pattern = REMOTE
+                    else:
+                        directory.record_false_positive()
+                        pattern = FALSE_POS
             cache.insert(oid, size, version)
-            inform(t, oid, l1i, version)
-            if degraded:
-                p_append(5)
-                f_append(FLAG_FALSE_NEGATIVE)
-            else:
-                p_append(3)
-                f_append(0)
-            h_append(-1)
-            a_append(4)
+            directory.inform(t, oid, l1i, version)
+            return pattern, holder, point
 
-        pattern = np.array(pattern_list, dtype=np.int64)
-        n = len(pattern)
-        miss_rows = np.array(miss_row_list, dtype=np.int64)
-        aux_point = np.ones(n, dtype=np.int64)
-        if miss_rows.size:
-            aux_point[miss_rows] = np.array(aux_point_list, dtype=np.int64)
-        sizes = columns.size[idx]
-        cost = arch.cost_model
+        return miss
 
-        s0 = np.zeros(n, dtype=np.float64)
-        s1 = np.zeros(n, dtype=np.float64)
-        local_rows = pattern == 1
-        if local_rows.any():
-            s0[local_rows] = cost.direct_ms_batch(
-                AccessPoint.L1, sizes[local_rows]
-            )
-        remote_rows = pattern == 2
-        for point in (AccessPoint.L2, AccessPoint.L3):
-            rows = remote_rows & (aux_point == int(point))
-            if rows.any():
-                s0[rows] = cost.direct_ms_batch(point, sizes[rows])
-        plain_miss = (pattern == 3) | (pattern == 5)
-        if plain_miss.any():
-            s0[plain_miss] = cost.direct_ms_batch(
-                AccessPoint.SERVER, sizes[plain_miss]
-            )
-        fp_rows = pattern == 4
-        if fp_rows.any():
-            for point in (AccessPoint.L2, AccessPoint.L3):
-                rows = fp_rows & (aux_point == int(point))
-                if rows.any():
-                    s0[rows] = cost.probe_ms(point)
-            s1[fp_rows] = cost.direct_ms_batch(
-                AccessPoint.SERVER, sizes[fp_rows]
-            )
+    def _message_miss(self):
+        """MessageLevelHintHierarchy: the live packed :class:`HintCluster`.
 
-        result_point = np.where(
-            local_rows, 1, np.where(remote_rows, aux_point, 4)
-        )
-        flags = np.zeros(n, dtype=np.int64)
-        holder = self._l1_all[idx].copy()
-        if miss_rows.size:
-            flags[miss_rows] = np.array(flag_list, dtype=np.int64)
-            holder[miss_rows] = np.array(holder_list, dtype=np.int64)
-        return _BatchResult(pattern, result_point, holder, flags, [s0, s1])
-
-    def result_for(self, batch: _BatchResult, row: int) -> "AccessResult":
-        from repro.obs.journey import Journey
-
-        pattern = int(batch.pattern[row])
-        s0 = float(batch.slot_costs[0][row])
-        holder = int(batch.aux[row])
-        journey = Journey()
-        if pattern == 1:
-            journey.local_lookup(s0, target=f"l1:{holder}")
-            return journey.result(AccessPoint.L1, hit=True)
-        if pattern == 2:
-            journey.transfer(s0, target=f"l1:{holder}")
-            return journey.result(
-                AccessPoint(int(batch.point[row])), hit=True, remote_hit=True
-            )
-        if pattern == 4:
-            journey.peer_probe(s0, target=f"l1:{holder}", wasted=True)
-            journey.mark_false_positive()
-            journey.origin_fetch(float(batch.slot_costs[1][row]))
-            return journey.result(AccessPoint.SERVER, hit=False)
-        if pattern == 5:
-            journey.mark_false_negative()
-        journey.origin_fetch(s0)
-        return journey.result(AccessPoint.SERVER, hit=False)
-
-
-class MessageHintKernel(_Kernel):
-    """Vectorized path of :class:`MessageLevelHintHierarchy`.
-
-    The state loop drives the same live :class:`HintCluster` -- packed
-    per-node hint caches, batched updates, seeded flush jitter -- through
-    ``find_nearest`` / ``local_inform``, so emergent pathologies (in-
-    flight invalidations, set-conflict displacement) reproduce exactly.
-    The architecture has no degraded request path, so the same loop
-    serves quiescent fault windows.
-    """
-
-    P_LOCAL = 1
-    P_REMOTE = 2
-    P_MISS = 3
-    P_MISS_FP = 4
-    P_MISS_FN = 5
-
-    STEP_TABLE = {
-        1: ((0, "local_lookup", False),),
-        2: ((0, "hint_lookup", False), (1, "transfer", False)),
-        3: ((0, "origin_fetch", False),),
-        4: ((0, "peer_probe", True), (1, "origin_fetch", False)),
-        5: ((0, "origin_fetch", False),),
-    }
-
-    def __init__(self, architecture, columns, requests=None) -> None:
-        super().__init__(architecture, columns, requests)
-        topology = architecture.topology
-        self._l1_all = topology.l1_of_clients(columns.client)
-        self._dist_rows = topology.distance_matrix().tolist()
-        self._l1_entries = [
-            cache._entries if cache.capacity_bytes is None else None
-            for cache in architecture.l1_caches
-        ]
-
-    def process_batch(self, idx: np.ndarray) -> _BatchResult:
-        columns = self.columns
-        times = columns.time[idx].tolist()
-        oids = columns.object[idx].tolist()
-        versions = columns.version[idx].tolist()
-        sizes_list = columns.size[idx].tolist()
-        l1_list = self._l1_all[idx].tolist()
-
+        ``find_nearest`` / ``local_inform`` drive the same per-node hint
+        caches, batched updates and seeded flush jitter as the reference,
+        so emergent pathologies (in-flight invalidations, set-conflict
+        displacement) reproduce exactly.  No degraded request path.
+        """
         arch = self.arch
         caches = arch.l1_caches
-        l1_entries = self._l1_entries
         cluster = arch.cluster
-        find_nearest = cluster.find_nearest
-        local_inform = cluster.local_inform
         hash_of = arch._hash_of
-        other_holder_exists = arch._other_holder_exists
         dist_rows = self._dist_rows
-        hit = LookupResult.HIT
 
-        pattern_list = []
-        miss_row_list = []
-        holder_list = []
-        aux_point_list = []
-        flag_list = []
-        p_append = pattern_list.append
-        m_append = miss_row_list.append
-        h_append = holder_list.append
-        a_append = aux_point_list.append
-        f_append = flag_list.append
-        row = -1
-        for t, oid, version, size, l1i in zip(
-            times, oids, versions, sizes_list, l1_list
-        ):
-            row += 1
-            entries = l1_entries[l1i]
-            if entries is not None:
-                entry = entries.get(oid)
-                if entry is not None and entry.version >= version:
-                    p_append(1)
-                    continue
-                arch._now = t
-                cache = caches[l1i]
-                if entry is not None:
-                    cache.lookup(oid, version)  # STALE: invalidate + flush
-            else:
-                arch._now = t
-                cache = caches[l1i]
-                if cache.lookup(oid, version) is hit:
-                    p_append(1)
-                    continue
-            m_append(row)
+        def miss(i, t, oid, version, size, l1i, cache, stale):
             url_hash = hash_of(oid)
-            found = find_nearest(l1i, url_hash, t)
+            found = cluster.find_nearest(l1i, url_hash, t)
             holder = found.node if found is not None else None
             if holder is not None and holder != l1i:
                 point = dist_rows[l1i][holder]
-                if caches[holder].lookup(oid, version) is hit:
-                    cache.insert(oid, size, version)
-                    local_inform(l1i, url_hash, t)
-                    p_append(2)
-                    h_append(holder)
-                    a_append(point)
-                    f_append(FLAG_REMOTE_HIT)
-                    continue
-                arch.false_positive_probes += 1
-                cache.insert(oid, size, version)
-                local_inform(l1i, url_hash, t)
-                p_append(4)
-                h_append(holder)
-                a_append(point)
-                f_append(FLAG_FALSE_POSITIVE)
-                continue
-            false_negative = other_holder_exists(oid, version, l1i)
-            if false_negative:
-                arch.false_negative_misses += 1
-            cache.insert(oid, size, version)
-            local_inform(l1i, url_hash, t)
-            if false_negative:
-                p_append(5)
-                f_append(FLAG_FALSE_NEGATIVE)
+                if caches[holder].lookup(oid, version) is _HIT:
+                    pattern = REMOTE
+                else:
+                    arch.false_positive_probes += 1
+                    pattern = FALSE_POS
             else:
-                p_append(3)
-                f_append(0)
-            h_append(-1)
-            a_append(4)
+                holder, point = -1, 0
+                pattern = MISS
+                if arch._other_holder_exists(oid, version, l1i):
+                    arch.false_negative_misses += 1
+                    pattern = FALSE_NEG
+            cache.insert(oid, size, version)
+            cluster.local_inform(l1i, url_hash, t)
+            return pattern, holder, point
 
-        pattern = np.array(pattern_list, dtype=np.int64)
-        n = len(pattern)
-        miss_rows = np.array(miss_row_list, dtype=np.int64)
-        aux_point = np.ones(n, dtype=np.int64)
-        if miss_rows.size:
-            aux_point[miss_rows] = np.array(aux_point_list, dtype=np.int64)
-        sizes = columns.size[idx]
-        cost = arch.cost_model
-        hint_ms = cost.hint_lookup_ms()
-
-        s0 = np.zeros(n, dtype=np.float64)
-        s1 = np.zeros(n, dtype=np.float64)
-        local_rows = pattern == 1
-        if local_rows.any():
-            s0[local_rows] = cost.via_l1_ms_batch(
-                AccessPoint.L1, sizes[local_rows]
-            )
-        remote_rows = pattern == 2
-        if remote_rows.any():
-            s0[remote_rows] = hint_ms
-            for point in (AccessPoint.L2, AccessPoint.L3):
-                rows = remote_rows & (aux_point == int(point))
-                if rows.any():
-                    s1[rows] = cost.via_l1_ms_batch(point, sizes[rows])
-        plain_miss = (pattern == 3) | (pattern == 5)
-        if plain_miss.any():
-            s0[plain_miss] = cost.via_l1_ms_batch(
-                AccessPoint.SERVER, sizes[plain_miss]
-            )
-        fp_rows = pattern == 4
-        if fp_rows.any():
-            for point in (AccessPoint.L2, AccessPoint.L3):
-                rows = fp_rows & (aux_point == int(point))
-                if rows.any():
-                    s0[rows] = cost.probe_ms(point)
-            s1[fp_rows] = cost.via_l1_ms_batch(
-                AccessPoint.SERVER, sizes[fp_rows]
-            )
-
-        result_point = np.where(
-            local_rows, 1, np.where(remote_rows, aux_point, 4)
-        )
-        flags = np.zeros(n, dtype=np.int64)
-        holder = self._l1_all[idx].copy()
-        if miss_rows.size:
-            flags[miss_rows] = np.array(flag_list, dtype=np.int64)
-            holder[miss_rows] = np.array(holder_list, dtype=np.int64)
-        return _BatchResult(pattern, result_point, holder, flags, [s0, s1])
-
-    def result_for(self, batch: _BatchResult, row: int) -> "AccessResult":
-        from repro.obs.journey import Journey
-
-        pattern = int(batch.pattern[row])
-        s0 = float(batch.slot_costs[0][row])
-        s1 = float(batch.slot_costs[1][row])
-        holder = int(batch.aux[row])
-        journey = Journey()
-        if pattern == 1:
-            journey.local_lookup(s0, target=f"l1:{holder}")
-            return journey.result(AccessPoint.L1, hit=True)
-        if pattern == 2:
-            journey.hint_lookup(s0, target=f"l1:{holder}")
-            journey.transfer(s1, target=f"l1:{holder}")
-            return journey.result(
-                AccessPoint(int(batch.point[row])), hit=True, remote_hit=True
-            )
-        if pattern == 4:
-            journey.peer_probe(s0, target=f"l1:{holder}", wasted=True)
-            journey.mark_false_positive()
-            journey.origin_fetch(s1)
-            return journey.result(AccessPoint.SERVER, hit=False)
-        if pattern == 5:
-            journey.mark_false_negative()
-        journey.origin_fetch(s0)
-        return journey.result(AccessPoint.SERVER, hit=False)
+        return miss
 
 
 def kernel_class_for(architecture: "Architecture"):
@@ -1713,25 +802,14 @@ def kernel_class_for(architecture: "Architecture"):
     from repro.hierarchy.icp import IcpHierarchy
     from repro.hierarchy.message_hints import MessageLevelHintHierarchy
 
-    kind = type(architecture)
-    if kind is DataHierarchy:
-        return HierarchyKernel
-    if kind is IcpHierarchy:
-        return IcpKernel
-    if kind is HintHierarchy:
-        if (
-            architecture.push_policy is None
-            and not architecture.charge_remote_as_l1
-        ):
-            return HintKernel
-        return PushHintKernel
-    if kind is CentralizedDirectoryArchitecture:
-        return DirectoryKernel
-    if kind is ClientHintHierarchy:
-        return ClientHintKernel
-    if kind is MessageLevelHintHierarchy:
-        return MessageHintKernel
-    return None
+    return {
+        DataHierarchy: HierarchyKernel,
+        IcpHierarchy: IcpKernel,
+        CentralizedDirectoryArchitecture: DirectoryKernel,
+        HintHierarchy: HintKernel,
+        ClientHintHierarchy: HintKernel,
+        MessageLevelHintHierarchy: HintKernel,
+    }.get(type(architecture))
 
 
 def fast_unsupported_reason(architecture: "Architecture") -> str | None:
@@ -1827,36 +905,35 @@ def run_fast_simulation(
                 edges.add(e)
     span_edges = sorted(edges) + [n]
 
-    needs_requests = (
-        journey_sink is not None
-        or injector is not None
-        or kernel_cls.NEEDS_REQUESTS
-    )
-    requests = trace.requests if needs_requests else None
-    kernel = kernel_cls(architecture, columns, requests=requests)
-    kind_table = kernel._kind_table()
+    kernel = kernel_cls(architecture, trace)
+    requests = trace.requests
     sizes_col = columns.size
 
-    # Host profiler: resolved once per run (one pointer check when
-    # detached); attached runs get one "batch" span per quiescent span
-    # with classify / fold / decode children and hit-miss attributes.
+    # Host profiler: resolved once per run (detached, every span below is
+    # a null context); attached runs get one "batch" span per quiescent
+    # span with classify / price / fold / decode children and hit-miss
+    # attributes.
     profiler = profiling.active()
 
+    def span(name: str, **attrs):
+        if profiler is None:
+            return nullcontext()
+        return profiler.span(name, category="fastpath", **attrs)
+
     for start, stop in zip(span_edges, span_edges[1:]):
-        if start >= stop:
-            continue
         if telemetry is not None:
             telemetry.advance(float(time_col[start]))
         if injector is not None:
             injector.advance(float(time_col[start]))
         idx = np.flatnonzero(process[start:stop]) + start
-        if idx.size == 0:
+        rows = int(idx.size)
+        if rows == 0:
             continue
         if injector is not None:
             if injector.faults_active:
                 # Active window: the vectorized residual is this span's
                 # per-request loop (the reference loop body, verbatim).
-                if profiler is None:
+                with span("residual_replay", rows=rows):
                     _run_residual_span(
                         metrics,
                         architecture,
@@ -1866,72 +943,36 @@ def run_fast_simulation(
                         telemetry,
                         journey_sink,
                     )
-                else:
-                    with profiler.span(
-                        "residual_replay", category="fastpath", rows=int(idx.size)
-                    ):
-                        _run_residual_span(
-                            metrics,
-                            architecture,
-                            requests,
-                            idx,
-                            boundary,
-                            telemetry,
-                            journey_sink,
-                        )
                 continue
             kernel.span_begin()
-        if profiler is None:
-            batch = kernel.process_batch(idx)
+        with span("batch", rows=rows) as batch_span:
+            with span("classify", rows=rows):
+                classified = kernel.classify(idx)
+            with span("cost_reconstruct", rows=rows):
+                batch = kernel.price(idx, *classified)
+            if batch_span is not None:
+                hits = int((batch.point == int(AccessPoint.L1)).sum())
+                batch_span.attrs["l1_hits"] = hits
+                batch_span.attrs["l1_misses"] = rows - hits
             span_measured = measured_mask[idx]
+            sizes = sizes_col[idx]
             measured_before = metrics.measured_requests
-            _fold_measured(
-                metrics,
-                batch,
-                span_measured,
-                sizes_col[idx],
-                kernel.STEP_TABLE,
-                kind_table,
-            )
+            with span("metrics_fold"):
+                _fold_measured(metrics, kernel, batch, span_measured, sizes)
             if telemetry is not None:
-                _observe_span(telemetry, batch, span_measured, sizes_col[idx])
+                with span("telemetry_decode"):
+                    _observe_span(telemetry, batch, span_measured, sizes)
             if journey_sink is not None:
-                for offset, row in enumerate(np.flatnonzero(span_measured).tolist()):
-                    result = kernel.result_for(batch, row)
-                    journey_sink.emit(
-                        measured_before + offset, requests[int(idx[row])], result
-                    )
-            continue
-        with profiler.span(
-            "batch", category="fastpath", rows=int(idx.size)
-        ) as batch_span:
-            with profiler.span("classify", category="fastpath", rows=int(idx.size)):
-                batch = kernel.process_batch(idx)
-            hits = int((batch.point == int(AccessPoint.L1)).sum())
-            batch_span.attrs["l1_hits"] = hits
-            batch_span.attrs["l1_misses"] = int(idx.size) - hits
-            span_measured = measured_mask[idx]
-            measured_before = metrics.measured_requests
-            with profiler.span("metrics_fold", category="fastpath"):
-                _fold_measured(
-                    metrics,
-                    batch,
-                    span_measured,
-                    sizes_col[idx],
-                    kernel.STEP_TABLE,
-                    kind_table,
-                )
-            if telemetry is not None:
-                with profiler.span("telemetry_decode", category="fastpath"):
-                    _observe_span(telemetry, batch, span_measured, sizes_col[idx])
-            if journey_sink is not None:
-                with profiler.span("journey_decode", category="fastpath"):
-                    for offset, row in enumerate(
-                        np.flatnonzero(span_measured).tolist()
+                with span("journey_decode"):
+                    decoded = np.flatnonzero(span_measured).tolist()
+                    trace_rows = idx.tolist()
+                    for offset, (row, result) in enumerate(
+                        zip(decoded, kernel.journeys(batch, decoded))
                     ):
-                        result = kernel.result_for(batch, row)
                         journey_sink.emit(
-                            measured_before + offset, requests[int(idx[row])], result
+                            measured_before + offset,
+                            requests[trace_rows[row]],
+                            result,
                         )
 
     architecture.processed_requests += processed_total
@@ -1976,11 +1017,10 @@ def _run_residual_span(
 
 def _fold_measured(
     metrics: SimMetrics,
+    kernel: _Kernel,
     batch: _BatchResult,
     measured: np.ndarray,
     sizes: np.ndarray,
-    step_table,
-    kind_table,
 ) -> None:
     """Fold one batch's measured rows into SimMetrics, bit-identically."""
     count = int(measured.sum())
@@ -2014,49 +1054,44 @@ def _fold_measured(
     # (row-major, then slot order within a row) so rendered decomposition
     # tables iterate kinds exactly as the reference engine built them.
     patterns = batch.pattern[measured]
+    counts = np.bincount(patterns).tolist()
+    masks = {p: patterns == p for p, c in enumerate(counts) if c}
     steps = metrics.steps
     first_seen: dict[str, int] = {}
-    for pattern, slots in step_table.items():
-        rows = np.flatnonzero(patterns == pattern)
-        if rows.size == 0:
-            continue
-        ordinal_base = int(rows[0]) * 4
-        for slot, kind, _wasted in slots:
+    for pattern, rows in masks.items():
+        ordinal_base = int(rows.argmax()) * 4
+        for slot, step in enumerate(kernel.steps[pattern]):
+            kind = step.kind.value
             if kind not in steps:
                 ordinal = ordinal_base + slot
                 if kind not in first_seen or ordinal < first_seen[kind]:
                     first_seen[kind] = ordinal
-    for kind, _ in sorted(first_seen.items(), key=lambda item: item[1]):
+    for kind in sorted(first_seen, key=first_seen.get):
         steps[kind] = StepAggregate(kind=kind)
 
     n_rows = len(patterns)
     measured_slot_costs = [costs[measured] for costs in batch.slot_costs]
-    for kind, occurrences in kind_table.items():
+    for kind, occ_by_pattern in kernel.kinds.items():
         # A pattern may carry the same kind more than once (e.g. the
         # directory's stale forward probes the directory *and* the dead
         # holder).  The reference folds steps row-major, journey order
         # within a row -- so lay costs out as (row, occurrence) and
         # flatten.
-        occ_by_pattern: dict[int, list[tuple[int, bool]]] = {}
-        for pattern, slot, wasted in occurrences:
-            occ_by_pattern.setdefault(pattern, []).append((slot, wasted))
-        width = max(len(slots) for slots in occ_by_pattern.values())
+        present = [(p, slots) for p, slots in occ_by_pattern.items() if p in masks]
+        if not present:
+            continue
+        width = max(len(slots) for _, slots in present)
         valid = np.zeros((n_rows, width), dtype=bool)
         cost_grid = np.zeros((n_rows, width), dtype=np.float64)
         wasted_count = 0
-        for pattern, slots in occ_by_pattern.items():
-            rows = patterns == pattern
-            if not rows.any():
-                continue
+        for pattern, slots in present:
+            rows = masks[pattern]
             for occurrence, (slot, wasted) in enumerate(slots):
                 valid[rows, occurrence] = True
                 cost_grid[rows, occurrence] = measured_slot_costs[slot][rows]
                 if wasted:
-                    wasted_count += int(rows.sum())
-        flat_valid = valid.ravel()
-        if not flat_valid.any():
-            continue
-        costs = cost_grid.ravel()[flat_valid]
+                    wasted_count += counts[pattern]
+        costs = cost_grid.ravel()[valid.ravel()]
         agg = steps[kind]
         agg.count += len(costs)
         agg.total_ms = _sequential_sum(agg.total_ms, costs)

@@ -24,6 +24,9 @@ import pytest
 from tests.conftest import make_tiny_config
 
 from repro.hierarchy.data_hierarchy import DataHierarchy
+from repro.hierarchy.directory_arch import CentralizedDirectoryArchitecture
+from repro.hierarchy.hint_hierarchy import HintHierarchy
+from repro.hierarchy.icp import IcpHierarchy
 from repro.netmodel.testbed import TestbedCostModel
 from repro.obs import profiling
 from repro.obs.profiling import (
@@ -371,23 +374,36 @@ class TestEngineIntegration:
         assert [c.name for c in simulate.children] == ["reference_loop"]
 
     def test_fast_span_tree_has_kernel_batches(self, trace):
+        """Every kernel's batches classify, then price, then fold."""
         config, tiny = trace
-        profiler = SpanProfiler()
-        with profiling.attached(profiler):
-            fast = run_simulation(tiny, self.build(config), engine="fast")
-        detached = run_simulation(tiny, self.build(config), engine="fast")
-        assert fast.summary() == detached.summary()
-        (simulate,) = profiler.roots
-        batches = [c for c in simulate.children if c.name == "batch"]
-        assert batches, "fast engine should record per-batch spans"
-        for batch in batches:
-            names = [c.name for c in batch.children]
-            assert "classify" in names
-            assert batch.attrs["rows"] > 0
-            assert (
-                batch.attrs["l1_hits"] + batch.attrs["l1_misses"]
-                == batch.attrs["rows"]
+        for make in (
+            DataHierarchy,
+            IcpHierarchy,
+            CentralizedDirectoryArchitecture,
+            HintHierarchy,
+        ):
+            profiler = SpanProfiler()
+            with profiling.attached(profiler):
+                fast = run_simulation(
+                    tiny, make(config.topology, TestbedCostModel()), engine="fast"
+                )
+            detached = run_simulation(
+                tiny, make(config.topology, TestbedCostModel()), engine="fast"
             )
+            assert fast.summary() == detached.summary()
+            (simulate,) = profiler.roots
+            batches = [c for c in simulate.children if c.name == "batch"]
+            assert batches, "fast engine should record per-batch spans"
+            for batch in batches:
+                names = [c.name for c in batch.children]
+                # Pricing is its own phase, a sibling of classify.
+                assert names[:2] == ["classify", "cost_reconstruct"], make
+                assert not batch.children[0].children
+                assert batch.attrs["rows"] > 0
+                assert (
+                    batch.attrs["l1_hits"] + batch.attrs["l1_misses"]
+                    == batch.attrs["rows"]
+                )
 
     def test_chrome_trace_of_real_run_is_valid(self, trace):
         config, tiny = trace

@@ -14,8 +14,8 @@ A second matrix crosses every architecture kind with every replacement
 policy (LRU / LFU / seeded Random) on *bounded* caches -- the kernels'
 policy-agnostic contract (:mod:`repro.sim.fastpath` module docstring)
 means non-LRU bookkeeping must advance identically on both engines.  A
-third crosses the bounded and hint-family kinds with the cost models the
-experiments run besides the testbed model.
+third crosses every kind with the cost models the experiments run
+besides the testbed model.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from repro.push.hierarchical import HierarchicalPushOnMiss
 from repro.push.update_push import UpdatePush
 from repro.sim.engine import run_simulation
 from repro.sim.fastpath import (
-    PushHintKernel,
+    HintKernel,
     _sequential_sum,
     fast_unsupported_reason,
     kernel_class_for,
@@ -283,12 +283,13 @@ COST_MODELS = {
 
 
 @pytest.mark.parametrize("cost_name", sorted(COST_MODELS))
-@pytest.mark.parametrize(
-    "kind",
-    ["hierarchy-bounded", "icp", "directory", "hints-pathological", "hints-push"],
-)
+@pytest.mark.parametrize("kind", ALL_KINDS)
 def test_cost_model_parity_matrix(kind, cost_name, tiny_config, dec_trace):
-    """Architecture x cost-model matrix: byte-identical SimMetrics."""
+    """Architecture x cost-model matrix: byte-identical SimMetrics.
+
+    Every kind, so each step table's price rules -- including the direct
+    pricing of client hints -- run under models with scalar-loop batch
+    methods."""
     make_cost = COST_MODELS[cost_name]
     reference = run_simulation(
         dec_trace,
@@ -399,16 +400,18 @@ def test_parity_prodigy_trace(tiny_config, prodigy_trace):
 
 
 @pytest.mark.parametrize("batch_size", [1, 7, 1024])
-def test_batch_size_invariance_pinned(batch_size, tiny_config, dec_trace):
-    """Fixed batch-boundary sweep: 1 (degenerate), 7 (ragged), 1024."""
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_batch_size_invariance_pinned(kind, batch_size, tiny_config, dec_trace):
+    """Fixed batch-boundary sweep on every kernel: 1 (degenerate, empty
+    miss lists), 7 (ragged), 1024 -- the probe's miss-row scatter."""
     reference = run_simulation(
         dec_trace,
-        build_architecture("hints", tiny_config.topology),
+        build_architecture(kind, tiny_config.topology),
         engine="reference",
     )
     fast = run_fast_simulation(
         dec_trace,
-        build_architecture("hints", tiny_config.topology),
+        build_architecture(kind, tiny_config.topology),
         batch_size=batch_size,
     )
     assert reference == fast
@@ -534,11 +537,11 @@ def test_fault_boundary_invariance_hypothesis(
 
 
 def test_push_variants_are_kernelized(tiny_config):
-    """Push and ideal-push hint variants route to the push-aware kernel."""
+    """Push and ideal-push hint variants route to the hint-family kernel."""
     for kind in ("hints-push", "hints-update-push", "hints-ideal"):
         arch = build_architecture(kind, tiny_config.topology)
         assert fast_unsupported_reason(arch) is None
-        assert kernel_class_for(arch) is PushHintKernel
+        assert kernel_class_for(arch) is HintKernel
 
 
 class _UnkernelizedHierarchy(DataHierarchy):
