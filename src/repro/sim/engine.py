@@ -95,8 +95,8 @@ def run_simulation(
             :mod:`repro.sim.fastpath`'s columnar batch engine, which
             produces byte-identical metrics.  Fault plans are vectorized
             too: the batch driver splits spans at every scheduled event
-            and falls back to a per-request residual only inside active
-            fault windows.  Audit hooks (checkpoints walk live state
+            and runs active fault windows on the kernels' degraded
+            patterns.  Audit hooks (checkpoints walk live state
             between requests) and architectures carrying pre-attached
             fault/audit state still dispatch back to this loop; an
             architecture without a vectorized kernel raises.

@@ -8,7 +8,7 @@ columnar end-to-end: requests live as NumPy arrays (time, client, object,
 size, version, cachability), classification/warmup masking/accounting are
 vectorized per batch, and per-request Python survives only for the state
 transitions that genuinely need it -- LRU lookups/inserts (evictions), hint
-directory traffic, push-policy RNG draws, and active fault windows.
+directory traffic, and the push-policy and hint-loss RNG draws.
 
 Parity contract
 ---------------
@@ -44,32 +44,37 @@ only in how a miss finds a copy.  So one loop, :meth:`_Kernel.classify`,
 owns the batch prologue (column gathers) and the only L1 probe: it records
 each local hit inline (no call per hit) and hands each miss to the
 kernel's miss hook, which resolves it and returns ``(pattern, holder,
-point)``.  The driver then prices the batch (``cost_reconstruct``), folds
-it into metrics, and -- only when attached -- decodes telemetry rows and
-journeys.  Pricing, flags, result points, the fold's kind table and the
+point)``.  The driver then prices the span (``cost_reconstruct``) and --
+only when attached -- decodes its telemetry rows and journeys.  Priced
+spans wait until ``batch_size`` rows are pending (or the run ends) and are
+then folded into metrics in one pass (``metrics_fold``), so short spans
+cut by telemetry bins or fault edges do not each pay the fold's fixed
+cost.  Pricing, flags, result points, the fold's kind table and the
 journey decode are all derived from the kernel's ``STEPS`` table, so a
 journey shape is stated once.
 
-Fault residual
---------------
-Fault plans no longer dispatch wholesale to the reference loop.  The
-driver splits the trace into spans at batch boundaries, telemetry bin
-edges, *and fault-event edges* (``searchsorted`` over the plan's event
-times), so no span ever straddles an injector state change.  Each span
-then runs in one of two modes:
-
-* **quiescent** (``injector.faults_active`` is false after advancing to
-  the span's start): the vectorized kernel runs.  With a plan attached
-  every request takes the architecture's ``_process_faulted`` path, so
-  kernels carry a ``faulted`` mode replaying that path's quiescent-window
-  semantics exactly -- ``degraded_ms`` is the identity at multiplier 1.0,
-  no node is down, no hint-loss draw happens at probability 0.0, and the
-  residual per-architecture differences (the hint path skipping push
-  accounting, the directory trusting its possibly-stale visible map) are
-  handled in the kernels' miss paths;
-* **active** (any node down / multiplier != 1 / loss probability > 0):
-  the span falls back to a per-request loop over ``architecture.process``
-  -- byte-identical because it *is* the reference loop body.
+Fault windows
+-------------
+Fault plans run on the kernels too.  The driver splits the trace into
+spans at batch boundaries, telemetry bin edges, *and fault-event edges*
+(``searchsorted`` over the plan's event times), so the injector's state
+is constant within a span.  ``span_begin`` takes one :class:`_Faults`
+snapshot of it per span -- the down L1/L2/L3/meta nodes, the latency and
+origin multipliers, the hint-loss probability and the drift skew -- and
+the kernels read that snapshot, never the injector.  With a plan
+attached every request takes the architecture's ``_process_faulted``
+path, and each kernel's table and miss hook carry that path's degraded
+patterns: a dead own proxy (timeout, then origin; split off before the
+probe loop, with no L1 lookup), a dead parent (timeout, then origin),
+ICP's dead siblings (the query round waits out the timeout and scans the
+live siblings only), a dead directory, and a dead holder named by stale
+metadata (a stale timeout).  Pricing applies the snapshot's multipliers
+to every network step (``hint_lookup`` excepted, ``origin_fetch`` also
+by the origin factor) and records each step's surcharge, which the fold
+and the decoders carry into the fault ledger.  A quiescent span is just
+the snapshot with no down node and unit multipliers, so there is one
+mode.  Client hints and message-level hints have no degraded path: under
+a plan they run their healthy path, as the reference does.
 
 Audit hooks remain inherently per-request (checkpoints walk live state
 between requests), so audited runs still dispatch to the reference loop.
@@ -87,11 +92,13 @@ architecture-independent.
 from __future__ import annotations
 
 from contextlib import nullcontext
+from itertools import repeat
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from repro.cache.lru import LookupResult
+from repro.faults.events import NodeKind
 from repro.netmodel.model import AccessPoint
 from repro.obs import profiling
 from repro.obs.journey import Journey, Step, StepKind
@@ -100,7 +107,7 @@ from repro.sim.metrics import SimMetrics, StepAggregate
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.events import FaultPlan
     from repro.faults.injector import FaultInjector
-    from repro.hierarchy.base import AccessResult, Architecture
+    from repro.hierarchy.base import Architecture
     from repro.obs.sink import JourneySink
     from repro.obs.telemetry import RunTelemetry
     from repro.traces.records import Trace
@@ -116,6 +123,9 @@ FLAG_FALSE_NEGATIVE = 4
 FLAG_SUBOPTIMAL = 8
 FLAG_PUSH_HIT = 16
 FLAG_STALE_FORWARD = 32
+#: Set by any ``timeout`` step (derived from the table, like the journey's
+#: ``timeout_fallback``); the journey decode needs no mark for it.
+FLAG_TIMEOUT = 64
 
 #: Journey marks implied by the flag bits (the journey decode sets them).
 _MARKS = (
@@ -133,6 +143,8 @@ VIA = "via_l1_ms_batch"
 DIRECT = "direct_ms_batch"
 PROBE = "probe_ms"
 HINT = "hint_lookup_ms"
+#: Not a cost-model method: the plan's timeout, all of it fault time.
+WAIT = "timeout_ms"
 
 #: Point placeholder: the row's own point column (a holder's distance
 #: class, or the charged point under ideal push).
@@ -143,6 +155,53 @@ _POINTS = (None, L1, L2, L3, SERVER)
 #: The miss paths compare against this alias: enum attribute access
 #: costs a class lookup per use.
 _HIT = LookupResult.HIT
+#: Pattern 0 of every degraded kernel: the client's own proxy is down, so
+#: the request waits out the timeout and goes to the origin (no L1 probe).
+DOWN = 0
+
+
+class _Faults(NamedTuple):
+    """One span's fault state: the injector snapshot the kernels read.
+
+    Spans split at every fault-event edge, so the injector's state is
+    constant within a span and one snapshot per span replaces the
+    reference's per-request ``is_down`` queries.  ``active`` is the
+    injector's ``faults_active``; the default instance is a quiescent
+    span (no down node, unit multipliers).
+    """
+
+    active: bool = False
+    l1: frozenset = frozenset()
+    l2: frozenset = frozenset()
+    #: Whether L3 node 0, the root and only L3 node, is down.
+    l3: bool = False
+    meta: frozenset = frozenset()
+    latency_mult: float = 1.0
+    origin_factor: float = 1.0
+    loss: float = 0.0
+    skew: float = 0.0
+
+    @classmethod
+    def of(cls, injector: "FaultInjector | None") -> "_Faults":
+        if injector is None or not injector.faults_active:
+            return _QUIESCENT
+        down: dict[NodeKind, set[int]] = {kind: set() for kind in NodeKind}
+        for kind, node in injector.down_nodes:
+            down[kind].add(node)
+        return cls(
+            True,
+            frozenset(down[NodeKind.L1]),
+            frozenset(down[NodeKind.L2]),
+            0 in down[NodeKind.L3],
+            frozenset(down[NodeKind.META]),
+            injector.latency_mult,
+            injector.origin_factor,
+            injector.hint_loss_prob,
+            injector.hint_delay_skew_s,
+        )
+
+
+_QUIESCENT = _Faults()
 
 
 class _Step(NamedTuple):
@@ -168,6 +227,10 @@ _TRANSFER = _Step(StepKind.TRANSFER, VIA, ROW, "l1:{0}")
 _WASTED = _Step(StepKind.PEER_PROBE, PROBE, ROW, "l1:{0}", True)
 _ORIGIN = _Step(StepKind.ORIGIN_FETCH, VIA, SERVER, "origin")
 _DIRECT_ORIGIN = _ORIGIN._replace(price=DIRECT)
+#: A dead proxy's timeout (the requester's own, or a holder's); the stale
+#: variant is a wasted forward that metadata sent to the corpse.
+_TIMEOUT = _Step(StepKind.TIMEOUT, WAIT, None, "l1:{0}")
+_STALE_TIMEOUT = _TIMEOUT._replace(wasted=True)
 
 
 def _sequential_sum(initial: float, values: np.ndarray) -> float:
@@ -193,23 +256,40 @@ def _step_cost(cost, method: str, point, sizes: np.ndarray):
     return fn(point, sizes)
 
 
+def _slot_sum(slots: list[np.ndarray]) -> np.ndarray:
+    """Per-row left-to-right sum of the slots, unused slots padded by 0.0.
+
+    Elementwise-identical to the journey's ``total += step`` chain: the
+    chain starts at ``0.0`` and ``0.0 + x == x + 0.0 == x`` for the finite
+    non-negative costs involved.
+    """
+    total = slots[0]
+    for values in slots[1:]:
+        total = total + values
+    return total
+
+
 class _BatchResult:
-    """Column store for one processed batch (small ints + slot costs)."""
+    """Column store for one priced span (small ints + slot costs).
 
-    __slots__ = ("pattern", "point", "aux", "flags", "slot_costs", "time_ms")
+    ``fault_slots`` (each step's fault surcharge, journey order) is
+    ``None`` outside active fault windows, where every surcharge is 0.0.
+    """
 
-    def __init__(self, pattern, point, aux, flags, slot_costs):
+    __slots__ = (
+        "pattern", "point", "aux", "flags", "slot_costs", "fault_slots",
+        "time_ms", "fault_ms",
+    )
+
+    def __init__(self, pattern, point, aux, flags, slot_costs, fault_slots):
         self.pattern = pattern  # kernel-defined path shape per row
         self.point = point  # AccessPoint int per row
         self.aux = aux  # journey target node (requester or holder)
         self.flags = flags  # FLAG_* bitmask per row
         self.slot_costs = slot_costs  # list of float64 arrays, journey order
-        # Per-request charged time: left-to-right slot sum with zero-padded
-        # unused slots, elementwise-identical to the journey's step sum.
-        time_ms = slot_costs[0]
-        for costs in slot_costs[1:]:
-            time_ms = time_ms + costs
-        self.time_ms = time_ms
+        self.fault_slots = fault_slots
+        self.time_ms = _slot_sum(slot_costs)
+        self.fault_ms = None if fault_slots is None else _slot_sum(fault_slots)
 
 
 class _Kernel:
@@ -220,8 +300,10 @@ class _Kernel:
     """
 
     #: pattern -> (result point, FLAG_* bits, journey steps).  Pattern 1
-    #: is the local hit the probe records; result point ROW takes the
-    #: row's emitted point.
+    #: is the local hit the probe records, pattern DOWN (degraded kernels
+    #: only) the dead own proxy; result point ROW takes the row's emitted
+    #: point.  ``FLAG_TIMEOUT`` and a stale timeout's
+    #: ``FLAG_STALE_FORWARD`` are derived from the steps.
     STEPS: dict = {}
 
     #: Whether the probe stamps ``arch._now`` before a real L1 lookup (the
@@ -231,14 +313,19 @@ class _Kernel:
     def __init__(self, architecture: "Architecture", trace: "Trace") -> None:
         self.arch = architecture
         self.columns = columns = trace.columns()
-        # A lazy list: rows materialize only if a journey, an active fault
-        # window or a push policy indexes it.
+        # A lazy list: rows materialize only if a journey or a push policy
+        # indexes it.
         self.requests = trace.requests
         # With a fault plan bound, *every* request takes the architecture's
-        # ``_process_faulted`` path; kernels replay its quiescent-window
-        # semantics when this is set (the driver only invokes kernels in
-        # quiescent spans -- active windows fall back per-request).
-        self.faulted = architecture.faults is not None
+        # ``_process_faulted`` path when it has one; ``degrades`` says the
+        # kernel replays it (tables, hooks and pricing read the span's
+        # ``state`` snapshot).  Client and message-level hints have none.
+        injector = architecture.faults
+        self.faulted = injector is not None
+        self.degrades = self.faulted and hasattr(architecture, "_process_faulted")
+        self.state = _QUIESCENT
+        self._dead_probe = None if injector is None else injector.note_dead_probe
+        self._timeout_ms = None if injector is None else injector.timeout_ms
         topology = architecture.topology
         self._l1_all = topology.l1_of_clients(columns.client)
         self._dist_rows = topology.distance_matrix().tolist()
@@ -269,6 +356,9 @@ class _Kernel:
         self._point_lut = np.zeros(max(self.STEPS) + 1, dtype=np.int64)
         self._flag_lut = np.zeros_like(self._point_lut)
         for pattern, (point, flags, steps) in self.STEPS.items():
+            for step in steps:
+                if step.kind is StepKind.TIMEOUT:
+                    flags |= FLAG_TIMEOUT | (FLAG_STALE_FORWARD if step.wasted else 0)
             self._point_lut[pattern] = point
             self._flag_lut[pattern] = flags
             self.steps[pattern] = [
@@ -283,21 +373,31 @@ class _Kernel:
         self._width = max(len(steps) for steps in self.steps.values())
         self._miss = self._miss_hook()
 
-    def span_begin(self) -> None:
-        """Per-span hook before a quiescent faulted span (default no-op)."""
+    def span_begin(self, state: _Faults) -> None:
+        """Adopt the span's fault snapshot; rebuild the hook on a change.
+
+        Hooks bind the snapshot's fields when built, so a quiescent or
+        plan-free span pays no per-row fault check beyond an empty-set
+        test.
+        """
+        if state != self.state:
+            self.state = state
+            self._miss = self._miss_hook()
 
     def classify(self, idx: np.ndarray):
         """The batch prologue and the only L1 probe.
 
-        Local hits stay inside this loop (recorded as the pattern-1
-        default, plus a push-mark check for the push variants) and touch
-        only the object, version and proxy columns; each miss goes to the
-        kernel's ``_miss`` hook as ``(i, t, oid, version, size, l1, cache,
-        stale)`` -- ``i`` the trace index, ``stale`` whether the L1 lookup
-        invalidated an old copy -- which returns its ``(pattern, holder,
-        point)``.  Returns ``(misses, found, pushed)``: the batch rows
-        that missed, their triples flattened, and the local hits that
-        consumed a push mark.
+        Rows whose own proxy is down (degraded kernels only) are split off
+        first, vectorized, with no L1 lookup.  Local hits stay inside this
+        loop (recorded as the pattern-1 default, plus a push-mark check
+        for the push variants) and touch only the object, version and
+        proxy columns; each miss goes to the kernel's ``_miss`` hook as
+        ``(i, t, oid, version, size, l1, cache, stale)`` -- ``i`` the trace
+        index, ``stale`` whether the L1 lookup invalidated an old copy --
+        which returns its ``(pattern, holder, point)``.  Returns
+        ``(misses, found, pushed, down)``: the batch rows that missed,
+        their triples flattened, the local hits that consumed a push mark,
+        and the dead-proxy rows (an array, or ``None``).
         """
         columns = self.columns
         arch = self.arch
@@ -311,6 +411,16 @@ class _Kernel:
         indices = idx.tolist()
         times = columns.time[idx].tolist()
         sizes = columns.size[idx].tolist()
+        rows, probed, proxies = range(len(idx)), idx, self._l1_all[idx]
+        down = None
+        dead = self.state.l1 if self.degrades else None
+        if dead:
+            on_dead = np.isin(proxies, list(dead))
+            if on_dead.any():
+                down = np.flatnonzero(on_dead)
+                arch.faults.stats.dead_probes += len(down)
+                live = np.flatnonzero(~on_dead)
+                rows, probed, proxies = live.tolist(), idx[live], proxies[live]
         misses: list[int] = []
         found: list[int] = []
         pushed: list[int] = []
@@ -326,10 +436,10 @@ class _Kernel:
             push_stats = arch.push_stats
             peeks = [cache.peek for cache in caches]
         for row, oid, version, l1i in zip(
-            range(len(idx)),
-            columns.object[idx].tolist(),
-            columns.version[idx].tolist(),
-            self._l1_all[idx].tolist(),
+            rows,
+            columns.object[probed].tolist(),
+            columns.version[probed].tolist(),
+            proxies.tolist(),
         ):
             entries = l1_entries[l1i]
             if (
@@ -361,14 +471,20 @@ class _Kernel:
                     peeked = peeks[l1i](oid)
                     push_stats.used_bytes += peeked.size if peeked else 0
                     pushed.append(row)
-        return misses, found, pushed
+        return misses, found, pushed, down
 
     def _miss_hook(self):
         """Build this kernel's per-miss hook (a closure over its state)."""
         raise NotImplementedError
 
-    def price(self, idx: np.ndarray, misses, found, pushed) -> _BatchResult:
-        """Scatter the misses over the all-local-hit default; price slots."""
+    def price(self, idx: np.ndarray, misses, found, pushed, down) -> _BatchResult:
+        """Scatter the misses over the all-local-hit default; price slots.
+
+        In an active span a degraded kernel charges every network step
+        ``base * latency_mult`` (``origin_fetch`` also times the origin
+        factor), ``hint_lookup`` stays undegraded, and a timeout costs the
+        plan's timeout; each step's surcharge lands in ``fault_slots``.
+        """
         n = len(idx)
         pattern = np.ones(n, dtype=np.int64)
         aux = self._l1_all[idx]
@@ -378,6 +494,8 @@ class _Kernel:
             pattern[rows], aux[rows], row_point[rows] = (
                 np.array(found, dtype=np.int64).reshape(-1, 3).T
             )
+        if down is not None:
+            pattern[down] = DOWN
         flags = self._flag_lut[pattern]
         if pushed:
             flags[np.array(pushed, dtype=np.int64)] |= FLAG_PUSH_HIT
@@ -385,25 +503,43 @@ class _Kernel:
         point = np.where(point == ROW, row_point, point)
         sizes = self.columns.size[idx]
         cost = self.arch.cost_model
+        state = self.state
+        mult, origin = state.latency_mult, state.origin_factor
+        scaled = self.degrades and (mult != 1.0 or origin != 1.0)
         slot_costs = [np.zeros(n, dtype=np.float64) for _ in range(self._width)]
+        fault_slots = (
+            [np.zeros(n, dtype=np.float64) for _ in range(self._width)]
+            if state.active
+            else None
+        )
         for p, count in enumerate(np.bincount(pattern).tolist()):
             if not count:
                 continue
             # An all-hit batch (the warm steady state) needs no row mask.
             rows = slice(None) if count == n else pattern == p
-            for costs, step in zip(slot_costs, self.steps[p]):
-                if step.point != ROW:
-                    costs[rows] = _step_cost(cost, step.price, step.point, sizes[rows])
+            for slot, step in enumerate(self.steps[p]):
+                if step.price == WAIT:
+                    slot_costs[slot][rows] = fault_slots[slot][rows] = self._timeout_ms
                     continue
-                at = row_point[rows]
-                for value in np.flatnonzero(np.bincount(at)).tolist():
-                    sel = row_point == value
-                    if count != n:
-                        sel &= rows
-                    costs[sel] = _step_cost(
-                        cost, step.price, AccessPoint(value), sizes[sel]
-                    )
-        return _BatchResult(pattern, point, aux, flags, slot_costs)
+                if step.point != ROW:
+                    base = _step_cost(cost, step.price, step.point, sizes[rows])
+                else:
+                    at = row_point[rows]
+                    at_sizes = sizes[rows]
+                    base = np.empty(count, dtype=np.float64)
+                    for value in np.flatnonzero(np.bincount(at)).tolist():
+                        sel = at == value
+                        base[sel] = _step_cost(
+                            cost, step.price, AccessPoint(value), at_sizes[sel]
+                        )
+                if scaled and step.kind is not StepKind.HINT_LOOKUP:
+                    charged = base * mult
+                    if step.kind is StepKind.ORIGIN_FETCH:
+                        charged = charged * origin
+                    fault_slots[slot][rows] = charged - base
+                    base = charged
+                slot_costs[slot][rows] = base
+        return _BatchResult(pattern, point, aux, flags, slot_costs, fault_slots)
 
     def journeys(self, batch: _BatchResult, rows: list[int]):
         """Decode ``rows`` into the reference's journeys, step for step."""
@@ -412,6 +548,11 @@ class _Kernel:
         aux_col = batch.aux.tolist()
         flags_col = batch.flags.tolist()
         slot_costs = [costs.tolist() for costs in batch.slot_costs]
+        slot_faults = (
+            [faults.tolist() for faults in batch.fault_slots]
+            if batch.fault_slots is not None
+            else [[0.0] * len(patterns)] * self._width
+        )
         per = self._per
         for row in rows:
             aux = aux_col[row]
@@ -422,10 +563,12 @@ class _Kernel:
                     step.kind,
                     costs[row],
                     step.target.format(aux, aux // per),
-                    0.0,
+                    faults[row],
                     step.wasted,
                 )
-                for step, costs in zip(self.steps[patterns[row]], slot_costs)
+                for step, costs, faults in zip(
+                    self.steps[patterns[row]], slot_costs, slot_faults
+                )
             ]
             if flags & _MARK_BITS:
                 for bit, mark in _MARKS:
@@ -439,32 +582,60 @@ class _Kernel:
             )
 
 
+_HIER_ORIGIN = _Step(StepKind.ORIGIN_FETCH, HIER, SERVER, "origin")
+
+
+def _prefixed(prefix: tuple, table: dict, offset: int = 0) -> dict:
+    """``table`` with ``prefix`` steps before every journey, ids + ``offset``."""
+    return {
+        pattern + offset: (point, flags, (*prefix, *steps))
+        for pattern, (point, flags, steps) in table.items()
+    }
+
+
 class HierarchyKernel(_Kernel):
     """Vectorized path of :class:`DataHierarchy`.
 
-    A local miss climbs L2 -> L3 -> origin and copies back down.  The
-    quiescent window of ``_process_faulted`` is byte-identical to the
-    healthy path (``degraded_ms`` is the identity, ``fault_ms=0.0`` equals
-    the healthy step default), so one miss path serves both modes.
+    A local miss climbs L2 -> L3 -> origin and copies back down.  Under a
+    plan, ``_process_faulted`` adds the dead-parent fallbacks: a dead L2
+    or L3 costs a timeout, then the origin, with the copies the walk
+    already passed inserted below it.  In a quiescent span every degraded
+    charge is the identity, so one miss path serves both modes.
     """
 
     STEPS = {
+        DOWN: (SERVER, 0, (_TIMEOUT, _HIER_ORIGIN)),
         1: (L1, 0, (_Step(StepKind.LOCAL_LOOKUP, HIER, L1, "l1:{0}"),)),
         2: (L2, FLAG_REMOTE_HIT, (_Step(StepKind.LEVEL_TRAVERSAL, HIER, L2, "l2:{1}"),)),
         3: (L3, FLAG_REMOTE_HIT, (_Step(StepKind.LEVEL_TRAVERSAL, HIER, L3, "l3"),)),
-        4: (SERVER, 0, (_Step(StepKind.ORIGIN_FETCH, HIER, SERVER, "origin"),)),
+        4: (SERVER, 0, (_HIER_ORIGIN,)),
+        # Dead L2, dead L3: timeout at the dead level, then the origin.
+        5: (SERVER, 0, (_TIMEOUT._replace(target="l2:{1}"), _HIER_ORIGIN)),
+        6: (SERVER, 0, (_TIMEOUT._replace(target="l3"), _HIER_ORIGIN)),
     }
 
     def _miss_hook(self):
         arch = self.arch
         l2_caches, l3, per = arch.l2_caches, arch.l3_cache, self._per
+        dead_l2, dead_l3 = self.state.l2, self.state.l3
+        dead_probe = self._dead_probe
 
         def climb(i, t, oid, version, size, l1i, l1, stale):
             """Walk L2 -> L3 -> origin; the pattern is the level reached."""
-            l2 = l2_caches[l1i // per]
+            group = l1i // per
+            if dead_l2 and group in dead_l2:
+                dead_probe()
+                l1.insert(oid, size, version)
+                return 5, l1i, 0
+            l2 = l2_caches[group]
             if l2.lookup(oid, version) is _HIT:
                 l1.insert(oid, size, version)
                 return 2, l1i, 0
+            if dead_l3:
+                dead_probe()
+                l2.insert(oid, size, version)
+                l1.insert(oid, size, version)
+                return 6, l1i, 0
             if l3.lookup(oid, version) is _HIT:
                 l2.insert(oid, size, version)
                 l1.insert(oid, size, version)
@@ -477,42 +648,62 @@ class HierarchyKernel(_Kernel):
         return climb
 
 
+#: ICP's pattern offset for a query round a dead sibling stalled.
+_WAITED = 6
+
+
 class IcpKernel(HierarchyKernel):
     """Vectorized path of :class:`IcpHierarchy` (sibling-query fan-out).
 
     Every local miss pays the sibling query round trip (slot 0), then
     resolves at the first sibling holding a current copy, or climbs the
-    hierarchy.  The quiescent faulted window is byte-identical to the
-    healthy walk: with no sibling down the live-sibling partition
-    preserves order, no timeout fires, and every degraded charge is the
-    identity.
+    hierarchy (dead parents included).  Under a plan a dead sibling
+    stalls the round until the timeout (a ``siblings`` timeout after the
+    query, pattern + ``_WAITED``) and the scan covers live siblings only.
     """
 
+    _AFTER_QUERY = {
+        2: (L2, FLAG_REMOTE_HIT, (_Step(StepKind.TRANSFER, VIA, L2, "l1:{0}"),)),
+        **{level + 1: HierarchyKernel.STEPS[level] for level in range(2, 7)},
+    }
     _QUERY = _Step(StepKind.PEER_PROBE, PROBE, L2, "siblings")
     STEPS = {
+        DOWN: HierarchyKernel.STEPS[DOWN],
         1: HierarchyKernel.STEPS[1],
-        2: (L2, FLAG_REMOTE_HIT, (_QUERY, _Step(StepKind.TRANSFER, VIA, L2, "l1:{0}"))),
-        3: (L2, FLAG_REMOTE_HIT, (_QUERY, *HierarchyKernel.STEPS[2][2])),
-        4: (L3, FLAG_REMOTE_HIT, (_QUERY, *HierarchyKernel.STEPS[3][2])),
-        5: (SERVER, 0, (_QUERY, *HierarchyKernel.STEPS[4][2])),
+        **_prefixed((_QUERY,), _AFTER_QUERY),
+        **_prefixed((_QUERY, _TIMEOUT._replace(target="siblings")), _AFTER_QUERY, _WAITED),
     }
+
+    def __init__(self, architecture, trace) -> None:
+        topology = architecture.topology
+        self._siblings = [topology.siblings_of(l1) for l1 in range(topology.n_l1)]
+        super().__init__(architecture, trace)
 
     def _miss_hook(self):
         arch = self.arch
         caches = arch.l1_caches
-        topology = arch.topology
-        siblings = [topology.siblings_of(l1) for l1 in range(topology.n_l1)]
+        siblings = self._siblings
+        dead = self.state.l1
+        stalled = None
+        if dead:
+            stalled = [any(s in dead for s in group) for group in siblings]
+            siblings = [[s for s in group if s not in dead] for group in siblings]
+        dead_probe = self._dead_probe
         climb = super()._miss_hook()
 
         def miss(i, t, oid, version, size, l1i, l1, stale):
             arch.sibling_queries += 1
+            waited = 0
+            if stalled is not None and stalled[l1i]:
+                dead_probe()
+                waited = _WAITED
             for sibling in siblings[l1i]:
                 if caches[sibling].lookup(oid, version) is _HIT:
                     arch.sibling_hits += 1
                     l1.insert(oid, size, version)
-                    return 2, sibling, 0
+                    return 2 + waited, sibling, 0
             level, _, _ = climb(i, t, oid, version, size, l1i, l1, stale)
-            return level + 1, l1i, 0
+            return level + 1 + waited, l1i, 0
 
         return miss
 
@@ -522,22 +713,28 @@ class DirectoryKernel(_Kernel):
 
     Healthy mode filters advertised holders by ground-truth freshness (the
     directory is exact), so a forwarded fetch always hits.  Faulted mode
-    replays ``_process_faulted``'s quiescent window: the freshness premise
-    is void (crashed proxies died without visible retractions), so the
-    nearest *visible* holder is trusted and a missing copy produces the
-    stale-forward pattern -- probe wasted, entry dropped, origin fetch.
-    Pure local hits on unbounded caches skip promotion and the ``_now``
-    stamp: the directory's zero propagation delay makes the retraction
-    timestamp unobservable.
+    replays ``_process_faulted``: the freshness premise is void (crashed
+    proxies died without visible retractions), so the nearest *visible*
+    holder is trusted.  A live holder missing the copy produces the
+    stale-forward pattern -- probe wasted, entry dropped, origin fetch; a
+    dead one a stale timeout and the same drop.  A dead directory costs
+    every local miss a timeout, then the origin, with a local insert the
+    directory never hears about.  Pure local hits on unbounded caches skip
+    promotion and the ``_now`` stamp: the directory's zero propagation
+    delay makes the retraction timestamp unobservable.
     """
 
     STAMP = True
     _QUERY = _Step(StepKind.PEER_PROBE, PROBE, "directory_point", "directory")
     STEPS = {
+        DOWN: (SERVER, 0, (_TIMEOUT, _ORIGIN)),
         1: (L1, 0, (_LOCAL,)),
         2: (ROW, FLAG_REMOTE_HIT, (_QUERY, _TRANSFER)),
         3: (SERVER, 0, (_QUERY, _ORIGIN)),
         4: (SERVER, FLAG_STALE_FORWARD, (_QUERY, _WASTED, _ORIGIN)),
+        # Dead directory; dead holder.
+        5: (SERVER, 0, (_TIMEOUT._replace(target="directory"), _ORIGIN)),
+        6: (SERVER, 0, (_QUERY, _STALE_TIMEOUT, _ORIGIN)),
     }
 
     def _miss_hook(self):
@@ -547,8 +744,15 @@ class DirectoryKernel(_Kernel):
         truth = directory._truth
         dist_rows = self._dist_rows
         faulted = self.faulted
+        dead = self.state.l1
+        directory_down = arch.DIRECTORY_META_NODE in self.state.meta
+        dead_probe = self._dead_probe
 
         def miss(i, t, oid, version, size, l1i, cache, stale):
+            if directory_down:
+                dead_probe()
+                cache.insert(oid, size, version)
+                return 5, l1i, 0
             holders = directory.find(t, oid, l1i).holders
             if holders and not faulted:
                 truth_map = truth.get(oid, {})
@@ -558,9 +762,14 @@ class DirectoryKernel(_Kernel):
                 drow = dist_rows[l1i]
                 holder = min(holders, key=lambda h: (drow[h], h))
                 point = drow[holder]
-                # Healthy holders are fresh, so this always hits (and
-                # refreshes the peer's LRU); faulted ones may be corpses.
-                if caches[holder].lookup(oid, version) is _HIT:
+                # Healthy holders are fresh, so the lookup always hits (and
+                # refreshes the peer's LRU); faulted ones may be dead or
+                # emptied by a crash.
+                if dead and holder in dead:
+                    dead_probe()
+                    directory.drop_visible(oid, holder)
+                    pattern = 6
+                elif caches[holder].lookup(oid, version) is _HIT:
                     pattern = 2
                 else:
                     directory.drop_visible(oid, holder)
@@ -573,7 +782,7 @@ class DirectoryKernel(_Kernel):
 
 
 #: Hint-family pattern ids (pattern 1 is the local hit).
-REMOTE, MISS, FALSE_POS, FALSE_NEG, SUBOPTIMAL, FALSE_POS_AT = 2, 3, 4, 5, 6, 7
+REMOTE, MISS, FALSE_POS, FALSE_NEG, SUBOPTIMAL, FALSE_POS_AT, DEAD_HOLDER = range(2, 9)
 
 
 class HintKernel(_Kernel):
@@ -582,15 +791,16 @@ class HintKernel(_Kernel):
     Covers :class:`HintHierarchy` (plain, push policies, and the
     ideal-push bound), :class:`ClientHintHierarchy` and
     :class:`MessageLevelHintHierarchy`.  The variants share the probe
-    loop, the healthy and quiescent-faulted modes share it too, and each
-    variant differs only by its per-miss hook and table (``VARIANTS``).
-    Pure local hits on unbounded caches skip the LRU promotion and the
+    loop, the healthy and faulted modes share it too, and each variant
+    differs only by its per-miss hook and table (``VARIANTS``).  Pure
+    local hits on unbounded caches skip the LRU promotion and the
     ``arch._now`` stamp (which only eviction retractions read).
     """
 
     STAMP = True
     VARIANTS = {
         "HintHierarchy": ("_hint_miss", {
+            DOWN: (SERVER, 0, (_TIMEOUT, _ORIGIN)),
             1: (L1, 0, (_LOCAL,)),
             REMOTE: (ROW, FLAG_REMOTE_HIT, (_HINTED, _TRANSFER)),
             SUBOPTIMAL: (ROW, FLAG_REMOTE_HIT | FLAG_SUBOPTIMAL, (_HINTED, _TRANSFER)),
@@ -599,6 +809,7 @@ class HintKernel(_Kernel):
             FALSE_POS: (SERVER, FLAG_FALSE_POSITIVE, (_HINT, _WASTED, _ORIGIN)),
             # ``_process_faulted`` stamps the probed holder on the lookup.
             FALSE_POS_AT: (SERVER, FLAG_FALSE_POSITIVE, (_HINTED, _WASTED, _ORIGIN)),
+            DEAD_HOLDER: (SERVER, FLAG_FALSE_POSITIVE, (_HINTED, _STALE_TIMEOUT, _ORIGIN)),
         }),
         "ClientHintHierarchy": ("_client_miss", {
             1: (L1, 0, (_LOCAL._replace(price=DIRECT),)),
@@ -623,25 +834,28 @@ class HintKernel(_Kernel):
     def _miss_hook(self):
         return getattr(self, self._hook)()
 
-    def span_begin(self) -> None:
-        if self._hook == "_hint_miss":
-            # StaleHintDrift re-application, per ``_process_faulted``:
-            # quiescent windows have zero skew, so this is idempotent per
-            # span (the reference re-assigns the same value per request).
+    def span_begin(self, state: _Faults) -> None:
+        super().span_begin(state)
+        if self.degrades:
+            # StaleHintDrift, per ``_process_faulted``: the reference
+            # re-assigns the skewed delay per request, and the skew is
+            # constant within a span.
             arch = self.arch
-            arch.directory.propagation_delay_s = (
-                arch._base_hint_delay_s + arch.faults.hint_delay_skew_s
-            )
+            arch.directory.propagation_delay_s = arch._base_hint_delay_s + state.skew
 
     def _hint_miss(self):
         """HintHierarchy: directory hint, nearest-holder probe, push hooks.
 
         The hook calls exactly the mutating operations the reference
-        calls, in the same order: directory find, nearest-holder probe,
-        false-positive recording, push-stats accounting (healthy only),
-        demand store + inform (skipped by ideal-push remote hits),
-        push-policy dispatch through the architecture's own
-        ``_apply_pushes``.
+        calls, in the same order: directory find, nearest-holder probe
+        (a dead holder is a stale timeout: dead probe, dropped hint,
+        false positive), false-positive recording, push-stats accounting
+        (healthy only), demand store + inform (skipped by ideal-push
+        remote hits), push-policy dispatch through the architecture's own
+        ``_apply_pushes``.  Under a lossy plan or a dead metadata node the
+        inform is ``announce``, which draws the loss once per store, after
+        the insert, and hides the hint when dropped or relayed by a dead
+        metadata node.
         """
         arch = self.arch
         caches = arch.l1_caches
@@ -655,6 +869,18 @@ class HintKernel(_Kernel):
         # ``_process_faulted`` ignores push policies and ideal accounting.
         policy = None if faulted else arch.push_policy
         ideal = not faulted and arch.charge_remote_as_l1
+        state = self.state
+        dead, dead_meta, lossy = state.l1, state.meta, state.loss > 0.0
+        dead_probe = self._dead_probe
+        if lossy or dead_meta:
+            dropped = arch.faults.hint_update_dropped
+            per = self._per
+
+            def announce(t, oid, node, version):
+                visible = not (lossy and dropped()) and node // per not in dead_meta
+                inform(t, oid, node, version, visible=visible)
+        else:
+            announce = inform
 
         def miss(i, t, oid, version, size, l1i, cache, stale):
             lookup = find(t, oid, l1i)
@@ -671,7 +897,12 @@ class HintKernel(_Kernel):
                 drow = dist_rows[l1i]
                 holder = min(holders, key=lambda h: (drow[h], h))
                 point = drow[holder]
-                if caches[holder].lookup(oid, version) is _HIT:
+                if dead and holder in dead:
+                    dead_probe()
+                    directory.drop_visible(oid, holder)
+                    directory.record_false_positive()
+                    pattern = DEAD_HOLDER
+                elif caches[holder].lookup(oid, version) is _HIT:
                     pattern = REMOTE
                     for node, held in truth.get(oid, {}).items():
                         if held >= version and node != l1i and drow[node] < point:
@@ -682,7 +913,7 @@ class HintKernel(_Kernel):
                         push_stats.demand_bytes += size
                     if not ideal:
                         cache.insert(oid, size, version)
-                        inform(t, oid, l1i, version)
+                        announce(t, oid, l1i, version)
                     if policy is not None:
                         actions = policy.on_remote_fetch(
                             now=t,
@@ -693,8 +924,9 @@ class HintKernel(_Kernel):
                         )
                         apply_pushes(actions, exclude={l1i, holder})
                     return pattern, holder, 1 if ideal else point
-                directory.record_false_positive()
-                pattern = FALSE_POS_AT if faulted else FALSE_POS
+                else:
+                    directory.record_false_positive()
+                    pattern = FALSE_POS_AT if faulted else FALSE_POS
             else:
                 pattern = FALSE_NEG if lookup.false_negative else MISS
                 holder, point = -1, 0
@@ -702,7 +934,7 @@ class HintKernel(_Kernel):
                 push_stats.note_time(t)
                 push_stats.demand_bytes += size
             cache.insert(oid, size, version)
-            inform(t, oid, l1i, version)
+            announce(t, oid, l1i, version)
             if policy is not None:
                 actions = policy.on_server_fetch(
                     now=t,
@@ -838,12 +1070,11 @@ def run_fast_simulation(
     """Columnar twin of :func:`repro.sim.engine.run_simulation`.
 
     Accepts configurations the vectorized kernels cover, including fault
-    plans: the trace is additionally split at fault-event edges, quiescent
-    spans run the kernels, and active windows fall back to a per-request
-    loop over ``architecture.process``.  Audit hooks (and architectures
-    carrying pre-attached fault/audit state) still dispatch to the
-    reference loop via the engine.  Returns byte-identical
-    :class:`SimMetrics`.
+    plans: the trace is additionally split at fault-event edges and every
+    span, quiescent or inside a fault window, runs the kernel on that
+    span's fault snapshot.  Audit hooks (and architectures carrying
+    pre-attached fault/audit state) still dispatch to the reference loop
+    via the engine.  Returns byte-identical :class:`SimMetrics`.
     """
     if batch_size < 1:
         raise ValueError(f"batch size must be positive, got {batch_size}")
@@ -910,9 +1141,9 @@ def run_fast_simulation(
     sizes_col = columns.size
 
     # Host profiler: resolved once per run (detached, every span below is
-    # a null context); attached runs get one "batch" span per quiescent
-    # span with classify / price / fold / decode children and hit-miss
-    # attributes.
+    # a null context); attached runs get one "batch" span per span with
+    # classify / price / decode children and hit-miss attributes, and a
+    # "metrics_fold" span per flushed batch.
     profiler = profiling.active()
 
     def span(name: str, **attrs):
@@ -920,6 +1151,10 @@ def run_fast_simulation(
             return nullcontext()
         return profiler.span(name, category="fastpath", **attrs)
 
+    # Priced spans wait here until ``batch_size`` rows are pending: the
+    # fold's fixed cost is paid once per batch, not once per span.
+    pending: list[tuple[_BatchResult, np.ndarray, np.ndarray]] = []
+    pending_rows = 0
     for start, stop in zip(span_edges, span_edges[1:]):
         if telemetry is not None:
             telemetry.advance(float(time_col[start]))
@@ -929,22 +1164,7 @@ def run_fast_simulation(
         rows = int(idx.size)
         if rows == 0:
             continue
-        if injector is not None:
-            if injector.faults_active:
-                # Active window: the vectorized residual is this span's
-                # per-request loop (the reference loop body, verbatim).
-                with span("residual_replay", rows=rows):
-                    _run_residual_span(
-                        metrics,
-                        architecture,
-                        requests,
-                        idx,
-                        boundary,
-                        telemetry,
-                        journey_sink,
-                    )
-                continue
-            kernel.span_begin()
+        kernel.span_begin(_Faults.of(injector))
         with span("batch", rows=rows) as batch_span:
             with span("classify", rows=rows):
                 classified = kernel.classify(idx)
@@ -956,24 +1176,32 @@ def run_fast_simulation(
                 batch_span.attrs["l1_misses"] = rows - hits
             span_measured = measured_mask[idx]
             sizes = sizes_col[idx]
-            measured_before = metrics.measured_requests
-            with span("metrics_fold"):
-                _fold_measured(metrics, kernel, batch, span_measured, sizes)
             if telemetry is not None:
                 with span("telemetry_decode"):
                     _observe_span(telemetry, batch, span_measured, sizes)
             if journey_sink is not None:
                 with span("journey_decode"):
+                    # Sequence numbers count the measured rows still pending.
+                    first = metrics.measured_requests + sum(
+                        int(measured.sum()) for _, measured, _ in pending
+                    )
                     decoded = np.flatnonzero(span_measured).tolist()
                     trace_rows = idx.tolist()
                     for offset, (row, result) in enumerate(
                         zip(decoded, kernel.journeys(batch, decoded))
                     ):
                         journey_sink.emit(
-                            measured_before + offset,
-                            requests[trace_rows[row]],
-                            result,
+                            first + offset, requests[trace_rows[row]], result
                         )
+            pending.append((batch, span_measured, sizes))
+            pending_rows += rows
+            if pending_rows >= batch_size:
+                with span("metrics_fold", rows=pending_rows):
+                    _fold_measured(metrics, kernel, pending)
+                pending, pending_rows = [], 0
+    if pending:
+        with span("metrics_fold", rows=pending_rows):
+            _fold_measured(metrics, kernel, pending)
 
     architecture.processed_requests += processed_total
     if telemetry is not None:
@@ -982,54 +1210,59 @@ def run_fast_simulation(
     return metrics
 
 
-def _run_residual_span(
-    metrics: SimMetrics,
-    architecture: "Architecture",
-    requests,
-    idx: np.ndarray,
-    boundary: float,
-    telemetry: "RunTelemetry | None",
-    journey_sink: "JourneySink | None",
-) -> None:
-    """Per-request fallback for one active fault window.
-
-    Mirrors the reference loop's body exactly.  Span edges include every
-    fault-event time, so no event fires mid-span (the per-request clock
-    advances the reference performs here are no-ops) and the window is
-    faulted throughout.  Warmup and skip counters are precomputed by the
-    driver; only measured accounting happens here.
-    """
-    process = architecture.process
-    record = metrics.record
-    for i in idx.tolist():
-        request = requests[i]
-        result = process(request)
-        if request.time < boundary:
-            if telemetry is not None:
-                telemetry.observe(request, result, measured=False)
-            continue
-        record(result, request.size, faulted=True)
-        if telemetry is not None:
-            telemetry.observe(request, result, measured=True)
-        if journey_sink is not None:
-            journey_sink.emit(metrics.measured_requests - 1, request, result)
-
-
 def _fold_measured(
     metrics: SimMetrics,
     kernel: _Kernel,
-    batch: _BatchResult,
-    measured: np.ndarray,
-    sizes: np.ndarray,
+    pending: list[tuple[_BatchResult, np.ndarray, np.ndarray]],
 ) -> None:
-    """Fold one batch's measured rows into SimMetrics, bit-identically."""
-    count = int(measured.sum())
+    """Fold the pending spans' measured rows into SimMetrics, bit-identically.
+
+    ``pending`` holds ``(batch, measured mask, sizes)`` per span, in trace
+    order; their measured rows are concatenated and folded as one batch.
+    """
+
+    def gather(columns) -> np.ndarray:
+        """One column's measured rows across the spans; ``None`` reads as
+        zeros (a span outside fault windows has no surcharges)."""
+        parts = [
+            np.zeros(int(measured.sum())) if column is None else column[measured]
+            for column, (_, measured, _) in zip(columns, pending)
+        ]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    batches = [batch for batch, _, _ in pending]
+    patterns = gather([batch.pattern for batch in batches])
+    count = len(patterns)
     if count == 0:
         return
-    times = batch.time_ms[measured]
-    points = batch.point[measured]
-    flags = batch.flags[measured]
-    msizes = sizes[measured]
+    times = gather([batch.time_ms for batch in batches])
+    points = gather([batch.point for batch in batches])
+    flags = gather([batch.flags for batch in batches])
+    msizes = gather([sizes for _, _, sizes in pending])
+    width = kernel._width
+    slot_costs = [
+        gather([batch.slot_costs[slot] for batch in batches]) for slot in range(width)
+    ]
+    # Fault surcharges exist only for spans of active fault windows; the
+    # others contribute 0.0, the identity of every fault sum below.
+    fault_slots = None
+    degraded = metrics.degraded
+    if any(batch.fault_slots is not None for batch in batches):
+        fault_slots = [
+            gather([
+                None if batch.fault_slots is None else batch.fault_slots[slot]
+                for batch in batches
+            ])
+            for slot in range(width)
+        ]
+        degraded.faulted_requests += sum(
+            int(measured.sum())
+            for batch, measured, _ in pending
+            if batch.fault_slots is not None
+        )
+        degraded.fault_added_ms = _sequential_sum(
+            degraded.fault_added_ms, gather([batch.fault_ms for batch in batches])
+        )
 
     metrics.measured_requests += count
     metrics.total_ms = _sequential_sum(metrics.total_ms, times)
@@ -1045,21 +1278,19 @@ def _fold_measured(
     metrics.false_negatives += int((flags & FLAG_FALSE_NEGATIVE != 0).sum())
     metrics.suboptimal_positives += int((flags & FLAG_SUBOPTIMAL != 0).sum())
     metrics.push_hits += int((flags & FLAG_PUSH_HIT != 0).sum())
-    metrics.degraded.stale_hint_forwards += int(
-        (flags & FLAG_STALE_FORWARD != 0).sum()
-    )
+    degraded.stale_hint_forwards += int((flags & FLAG_STALE_FORWARD != 0).sum())
+    degraded.timeout_fallbacks += int((flags & FLAG_TIMEOUT != 0).sum())
     metrics.journeyed_requests += count
 
     # Per-kind step fold.  Aggregates are created in first-seen order
     # (row-major, then slot order within a row) so rendered decomposition
     # tables iterate kinds exactly as the reference engine built them.
-    patterns = batch.pattern[measured]
     counts = np.bincount(patterns).tolist()
     masks = {p: patterns == p for p, c in enumerate(counts) if c}
     steps = metrics.steps
     first_seen: dict[str, int] = {}
     for pattern, rows in masks.items():
-        ordinal_base = int(rows.argmax()) * 4
+        ordinal_base = int(rows.argmax()) * width
         for slot, step in enumerate(kernel.steps[pattern]):
             kind = step.kind.value
             if kind not in steps:
@@ -1069,8 +1300,6 @@ def _fold_measured(
     for kind in sorted(first_seen, key=first_seen.get):
         steps[kind] = StepAggregate(kind=kind)
 
-    n_rows = len(patterns)
-    measured_slot_costs = [costs[measured] for costs in batch.slot_costs]
     for kind, occ_by_pattern in kernel.kinds.items():
         # A pattern may carry the same kind more than once (e.g. the
         # directory's stale forward probes the directory *and* the dead
@@ -1080,26 +1309,29 @@ def _fold_measured(
         present = [(p, slots) for p, slots in occ_by_pattern.items() if p in masks]
         if not present:
             continue
-        width = max(len(slots) for _, slots in present)
-        valid = np.zeros((n_rows, width), dtype=bool)
-        cost_grid = np.zeros((n_rows, width), dtype=np.float64)
+        occurrences = max(len(slots) for _, slots in present)
+        valid = np.zeros((count, occurrences), dtype=bool)
+        cost_grid = np.zeros((count, occurrences), dtype=np.float64)
+        fault_grid = None if fault_slots is None else np.zeros_like(cost_grid)
         wasted_count = 0
         for pattern, slots in present:
             rows = masks[pattern]
             for occurrence, (slot, wasted) in enumerate(slots):
                 valid[rows, occurrence] = True
-                cost_grid[rows, occurrence] = measured_slot_costs[slot][rows]
+                cost_grid[rows, occurrence] = slot_costs[slot][rows]
+                if fault_grid is not None:
+                    fault_grid[rows, occurrence] = fault_slots[slot][rows]
                 if wasted:
                     wasted_count += counts[pattern]
-        costs = cost_grid.ravel()[valid.ravel()]
+        flat = valid.ravel()
+        costs = cost_grid.ravel()[flat]
         agg = steps[kind]
         agg.count += len(costs)
         agg.total_ms = _sequential_sum(agg.total_ms, costs)
         agg.wasted += wasted_count
         agg.latency.bulk_record(costs)
-        # agg.fault_ms stays 0.0: quiescent steps charge fault_ms == 0.0
-        # and x += 0.0 is the identity for the fault ledger's
-        # non-negatives (active windows fold through metrics.record).
+        if fault_grid is not None:
+            agg.fault_ms = _sequential_sum(agg.fault_ms, fault_grid.ravel()[flat])
 
 
 def _observe_span(
@@ -1115,8 +1347,9 @@ def _observe_span(
     flags = batch.flags.tolist()
     size_list = sizes.tolist()
     measured_list = span_measured.tolist()
-    for point, time_ms, flag, size, measured in zip(
-        points, times, flags, size_list, measured_list
+    faults = repeat(0.0) if batch.fault_ms is None else batch.fault_ms.tolist()
+    for point, time_ms, flag, size, measured, fault_ms in zip(
+        points, times, flags, size_list, measured_list, faults
     ):
         observe(
             point=point,
@@ -1127,6 +1360,8 @@ def _observe_span(
             false_negative=bool(flag & FLAG_FALSE_NEGATIVE),
             suboptimal_positive=bool(flag & FLAG_SUBOPTIMAL),
             push_hit=bool(flag & FLAG_PUSH_HIT),
+            timeout_fallback=bool(flag & FLAG_TIMEOUT),
             stale_hint_forward=bool(flag & FLAG_STALE_FORWARD),
+            fault_added_ms=fault_ms,
             measured=measured,
         )

@@ -22,6 +22,7 @@ import pickle
 import pytest
 
 from tests.conftest import make_tiny_config
+from tests.sim.test_fastpath_parity import make_plan
 
 from repro.hierarchy.data_hierarchy import DataHierarchy
 from repro.hierarchy.directory_arch import CentralizedDirectoryArchitecture
@@ -404,6 +405,37 @@ class TestEngineIntegration:
                     batch.attrs["l1_hits"] + batch.attrs["l1_misses"]
                     == batch.attrs["rows"]
                 )
+
+    def test_fast_engine_runs_fault_windows_on_the_kernels(self, trace):
+        """Active fault windows run on the kernels, not a per-request
+        replay: no ``residual_replay`` span, and the ``batch`` spans'
+        rows add up to every processed request."""
+        config, tiny = trace
+        plan = make_plan("crash-heavy", config.seed)
+        for make in (
+            DataHierarchy,
+            IcpHierarchy,
+            CentralizedDirectoryArchitecture,
+            HintHierarchy,
+        ):
+            profiler = SpanProfiler()
+            with profiling.attached(profiler):
+                metrics = run_simulation(
+                    tiny,
+                    make(config.topology, TestbedCostModel()),
+                    fault_plan=plan,
+                    engine="fast",
+                )
+            assert metrics.degraded.faulted_requests > 0, make
+            (simulate,) = profiler.roots
+            names = {span.name for span in simulate.walk()}
+            assert "residual_replay" not in names, make
+            rows = sum(
+                child.attrs["rows"]
+                for child in simulate.children
+                if child.name == "batch"
+            )
+            assert rows == metrics.measured_requests + metrics.warmup_requests
 
     def test_chrome_trace_of_real_run_is_valid(self, trace):
         config, tiny = trace

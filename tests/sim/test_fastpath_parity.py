@@ -6,9 +6,9 @@ accumulator, and latency histogram bin.  The matrix covers all six
 kernelized architectures (hierarchy, ICP, hints incl. push/ideal variants,
 directory, client-hints, message-level hints), bounded and unbounded
 caches, hint pathologies (false positives/negatives, suboptimal hits),
-fault plans with active *and* quiescent windows (the vectorized residual's
-span splitting), journey streams, telemetry rows, and batch-boundary /
-fault-edge invariance under Hypothesis.
+fault plans with active *and* quiescent windows (every fault kind, run on
+the kernels' degraded patterns), journey streams, telemetry rows, and
+batch-boundary / fault-edge invariance under Hypothesis.
 
 A second matrix crosses every architecture kind with every replacement
 policy (LRU / LFU / seeded Random) on *bounded* caches -- the kernels'
@@ -26,7 +26,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.policy import POLICY_NAMES, PolicySpec
-from repro.faults import FaultPlan, LinkDegrade, NodeCrash, NodeRecover
+from repro.faults import (
+    FaultPlan,
+    HintBatchLoss,
+    LinkDegrade,
+    NodeCrash,
+    NodeRecover,
+    OriginSlowdown,
+    StaleHintDrift,
+)
 from repro.hierarchy.data_hierarchy import DataHierarchy
 from repro.hierarchy.client_hints import ClientHintHierarchy
 from repro.hierarchy.directory_arch import CentralizedDirectoryArchitecture
@@ -170,11 +178,15 @@ def build_architecture(kind, topology, policy=None, cost=None):
     raise AssertionError(kind)
 
 
-#: Fault plans mix active windows (per-request residual) with quiescent
-#: windows (vectorized kernels in faulted mode): crash-heavy alternates
-#: crash/recover pairs through warmup *and* the measured region, and
-#: link-degrade returns to multiplier 1.0 mid-measurement so the kernels
-#: take over a run that started degraded.
+#: Fault plans mix active windows (the kernels' degraded patterns) with
+#: quiescent windows: crash-heavy alternates crash/recover pairs through
+#: warmup *and* the measured region, link-degrade returns to multiplier
+#: 1.0 mid-measurement so a run that started degraded turns quiescent,
+#: and mixed schedules every event kind inside the measured window
+#: (warmup ends at 172,800 s): L3 and meta crashes, origin slowdown
+#: overlapping link degradation, hint-batch loss overlapping drift, all
+#: under an L1 crash whose dead holdings stay in the hint and directory
+#: maps until and after its recovery.
 FAULT_PLANS = {
     "no-fault": None,
     "crash-heavy": (
@@ -190,6 +202,22 @@ FAULT_PLANS = {
     "link-degrade": (
         LinkDegrade(time=0.0, latency_mult=1.5),
         LinkDegrade(time=240_000.0, latency_mult=1.0),
+    ),
+    "mixed": (
+        NodeCrash(time=250_000.0, kind="l1", node=1),
+        NodeCrash(time=300_000.0, kind="l3", node=0),
+        NodeRecover(time=400_000.0, kind="l3", node=0),
+        NodeCrash(time=450_000.0, kind="meta", node=0),
+        NodeRecover(time=550_000.0, kind="meta", node=0),
+        OriginSlowdown(time=600_000.0, factor=2.0),
+        LinkDegrade(time=650_000.0, latency_mult=1.25),
+        OriginSlowdown(time=700_000.0, factor=1.0),
+        LinkDegrade(time=750_000.0, latency_mult=1.0),
+        HintBatchLoss(time=800_000.0, prob=0.3),
+        StaleHintDrift(time=850_000.0, ttl_skew_s=600.0),
+        HintBatchLoss(time=950_000.0, prob=0.0),
+        NodeRecover(time=1_000_000.0, kind="l1", node=1),
+        StaleHintDrift(time=1_100_000.0, ttl_skew_s=0.0),
     ),
 }
 
@@ -378,6 +406,17 @@ def test_matrix_cells_are_not_vacuous(tiny_config, dec_trace):
     assert directory.degraded.faulted_requests > 0
     assert directory.degraded.stale_hint_forwards > 0
 
+    # The mixed plan's active windows reach every degraded pattern family:
+    # timeouts and surcharges on each degraded kernel, and stale-timeout
+    # forwards to the dead holder wherever metadata names holders.
+    mixed = make_plan("mixed", tiny_config.seed)
+    for kind in ("hierarchy", "icp", "directory", "hints"):
+        _, fast = run_pair(dec_trace, kind, tiny_config.topology, fault_plan=mixed)
+        assert fast.degraded.timeout_fallbacks > 0, kind
+        assert fast.degraded.fault_added_ms > 0, kind
+        if kind in ("directory", "hints"):
+            assert fast.degraded.stale_hint_forwards > 0, kind
+
 
 def test_parity_include_uncachable_and_warmup(tiny_config, dec_trace):
     for kind in ("hierarchy", "icp", "directory", "hints"):
@@ -418,9 +457,13 @@ def test_batch_size_invariance_pinned(kind, batch_size, tiny_config, dec_trace):
 
 
 @pytest.mark.parametrize("batch_size", [1, 7, 1024])
-def test_fault_edges_on_batch_boundaries_pinned(batch_size, tiny_config, dec_trace):
+@pytest.mark.parametrize("kind", ["hierarchy", "icp", "directory", "hints"])
+def test_fault_edges_on_batch_boundaries_pinned(
+    kind, batch_size, tiny_config, dec_trace
+):
     """Crash/recover edges landing exactly on request timestamps that are
-    also batch boundaries: the span splitter's worst case."""
+    also batch boundaries: the span splitter's worst case, on every
+    degraded kernel (batch and fold boundaries fall inside the window)."""
     time_col = dec_trace.columns().time
     n = len(time_col)
     crash_i = min(batch_size, n - 1)
@@ -434,13 +477,13 @@ def test_fault_edges_on_batch_boundaries_pinned(batch_size, tiny_config, dec_tra
     )
     reference = run_simulation(
         dec_trace,
-        build_architecture("directory", tiny_config.topology),
+        build_architecture(kind, tiny_config.topology),
         fault_plan=plan,
         engine="reference",
     )
     fast = run_fast_simulation(
         dec_trace,
-        build_architecture("directory", tiny_config.topology),
+        build_architecture(kind, tiny_config.topology),
         fault_plan=plan,
         batch_size=batch_size,
     )
@@ -496,8 +539,8 @@ def test_fault_boundary_invariance_hypothesis(
 ):
     """Crash/recover edges on and off batch boundaries, at and between
     request timestamps: fast-vs-reference identity must survive every
-    alignment -- the class of bug the vectorized residual is most likely
-    to have."""
+    alignment -- the class of bug the span splitter is most likely to
+    have."""
     cache = _hypothesis_trace()
     trace = cache["trace"]
     time_col = trace.columns().time
