@@ -9,11 +9,15 @@ it happen".  Three pieces compose:
   Instruments are either *stored* (incremented on the request path) or
   *callback-backed* (a ``fn`` read at snapshot time, e.g. a cache's
   ``occupancy_bytes``), so instrumenting a layer costs nothing until someone
-  actually samples it.
+  actually samples it.  A group reader (:meth:`MetricsRegistry.bind_reader`)
+  snapshots many instruments in one call: one pass over a level's caches,
+  a directory or an injector per snapshot.
 * :class:`Timeline` -- snapshots every instrument into fixed-width bins
-  of **simulated** time (``bin_s``, default one hour).  Each closed bin
-  records counter *deltas* and gauge *values*; deltas telescope, so the
-  per-bin rows re-sum exactly to the run totals.
+  of **simulated** time (``bin_s``, default one hour).  Each close keeps
+  one float64 vector; counter *deltas* and gauge *values*
+  (:class:`TimelineColumns`) and the per-bin dict rows are derived when
+  read.  Deltas telescope, so the per-bin rows re-sum exactly to the run
+  totals.
 * :class:`RunTelemetry` -- the engine-facing bundle: one per
   :func:`repro.sim.engine.run_simulation` call.  It registers the
   request-path counters (labelled ``window=warmup|measured`` so the
@@ -21,6 +25,8 @@ it happen".  Three pieces compose:
   the convergence check), binds the architecture's caches and hint
   directory via :func:`bind_architecture`, and mirrors the fault
   injector's node states as up/down gauges via :func:`bind_injector`.
+  The reference engine accounts request by request; the fast engine
+  defers a batch's rows and settles them at once.
 
 Telemetry is strictly opt-in: without a :class:`RunTelemetry` the engine
 pays one pointer check per site, and nothing here ever feeds the content
@@ -35,6 +41,8 @@ import math
 import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from repro.netmodel.model import AccessPoint
 from repro.obs import profiling
@@ -113,11 +121,20 @@ class Instrument:
     """Base of all instruments: a name, a label set, and a canonical key."""
 
     kind = "abstract"
+    #: Snapshot series the instrument contributes (a histogram: sum, count).
+    width = 1
 
     def __init__(self, name: str, labels: Mapping[str, str]) -> None:
         self.name = name
         self.labels = dict(labels)
         self.key = render_metric_key(name, self.labels)
+        #: ``(reader, column)`` once :meth:`MetricsRegistry.bind_reader`
+        #: covers this instrument; ``None`` reads it on its own.
+        self.source: tuple[_Reader, int] | None = None
+
+    def series(self) -> tuple[float, ...]:
+        """The instrument's snapshot values, read on their own."""
+        return (self.value,)
 
 
 class Counter(Instrument):
@@ -149,8 +166,10 @@ class Counter(Instrument):
 
     def bind(self, fn: Callable[[], float]) -> None:
         """(Re)attach the value callback -- used when a fresh architecture
-        re-registers under an existing instrument key."""
+        re-registers under an existing instrument key.  A group reader
+        bound to the old object no longer covers the instrument."""
         self._fn = fn
+        self.source = None
 
     @property
     def value(self) -> float:
@@ -185,6 +204,7 @@ class Gauge(Instrument):
 
     def bind(self, fn: Callable[[], float]) -> None:
         self._fn = fn
+        self.source = None
 
     @property
     def value(self) -> float:
@@ -199,6 +219,7 @@ class Histogram(Instrument):
     """
 
     kind = "histogram"
+    width = 2
 
     def __init__(
         self,
@@ -224,6 +245,20 @@ class Histogram(Instrument):
         self.sum += value
         self.count += 1
 
+    def series(self) -> tuple[float, ...]:
+        return (self.sum, float(self.count))
+
+    def _bucket(self, values: np.ndarray) -> None:
+        """Count ``values`` into the buckets as :meth:`observe` would; the
+        caller accounts ``sum`` and ``count``."""
+        added = np.bincount(
+            np.searchsorted(self.bounds, values, side="left"),
+            minlength=len(self._bucket_counts),
+        )
+        self._bucket_counts = [
+            held + more for held, more in zip(self._bucket_counts, added.tolist())
+        ]
+
     def cumulative_buckets(self) -> list[tuple[float, int]]:
         """``(le_bound, cumulative_count)`` pairs ending with ``(inf, count)``."""
         pairs: list[tuple[float, int]] = []
@@ -233,6 +268,45 @@ class Histogram(Instrument):
             pairs.append((bound, running))
         pairs.append((math.inf, self.count))
         return pairs
+
+
+class _Reader:
+    """One snapshot call covering several instruments' series."""
+
+    __slots__ = ("read", "width")
+
+    def __init__(self, read: Callable[[], Sequence[float]], width: int) -> None:
+        self.read = read
+        self.width = width
+
+
+class _Plan:
+    """How one snapshot of a registry (under one ``arch`` filter) is read.
+
+    ``readers`` fill one float64 vector, each its own columns starting at
+    ``offsets[reader]``; ``counter_cols``/``gauge_cols`` pick the monotone
+    and point-in-time series out of it in exposition order.
+    """
+
+    __slots__ = (
+        "generation", "readers", "offsets",
+        "counter_keys", "counter_cols", "gauge_keys", "gauge_cols",
+    )
+
+    def __init__(self, generation, readers, offsets, counters, gauges) -> None:
+        self.generation = generation
+        self.readers = tuple(reader.read for reader in readers)
+        self.offsets = offsets
+        self.counter_keys = tuple(key for key, _ in counters)
+        self.counter_cols = np.array([col for _, col in counters], dtype=np.int64)
+        self.gauge_keys = tuple(key for key, _ in gauges)
+        self.gauge_cols = np.array([col for _, col in gauges], dtype=np.int64)
+
+    def read(self) -> np.ndarray:
+        values: list = []
+        for read in self.readers:
+            values += read()
+        return np.array(values, dtype=np.float64)
 
 
 @dataclass
@@ -261,9 +335,10 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._families: dict[str, _Family] = {}
-        #: Bumped on every new family/child; snapshot plans key off it.
+        #: Bumped on every new family/child, rebind and group reader;
+        #: snapshot plans key off it.
         self._generation = 0
-        self._plans: dict[str | None, tuple] = {}
+        self._plans: dict[str | None, _Plan] = {}
 
     # ------------------------------------------------------------------
     # registration
@@ -306,6 +381,25 @@ class MetricsRegistry:
         instrument = self._get_or_create(name, "histogram", labels, help, buckets=buckets)
         assert isinstance(instrument, Histogram)
         return instrument
+
+    def bind_reader(
+        self, instruments: Sequence[Instrument], read: Callable[[], Sequence[float]]
+    ) -> _Reader:
+        """Snapshot ``instruments`` through one ``read()`` call.
+
+        ``read`` returns every instrument's series in order (a histogram's
+        sum, then its count).  A timeline close calls it once instead of
+        each instrument's own callback, so a bound cache list, directory
+        or injector is read in one pass per close.  ``value`` -- and so
+        the Prometheus exposition -- still reads each instrument alone.
+        """
+        reader = _Reader(read, sum(instrument.width for instrument in instruments))
+        column = 0
+        for instrument in instruments:
+            instrument.source = (reader, column)
+            column += instrument.width
+        self._generation += 1
+        return reader
 
     def _get_or_create(
         self,
@@ -355,6 +449,7 @@ class MetricsRegistry:
             # A fresh run re-registering the same key rebinds the callback
             # to the new live object (e.g. a rebuilt cache).
             instrument.bind(fn)  # type: ignore[union-attr]
+            self._generation += 1
         return instrument
 
     # ------------------------------------------------------------------
@@ -371,42 +466,59 @@ class MetricsRegistry:
             for child_key in sorted(family.instruments):
                 yield family.instruments[child_key]
 
-    def _snapshot_plan(self, arch: str | None) -> tuple:
-        """Memoized ``(generation, counter_entries, gauge_entries)`` for
-        one ``arch`` filter.
+    def _snapshot_plan(self, arch: str | None) -> _Plan:
+        """Memoized read plan for one ``arch`` filter.
 
-        A timeline close used to re-sort every family and child, re-walk
-        three generator layers, and re-render each histogram's series
-        keys -- per bin, so over hundreds of bins that walk dominated the
-        cost of enabled telemetry.  All of it is invariant between
-        registrations, so the plan caches the sorted order, the kind
-        split, and the pre-rendered keys, invalidated by the registration
-        generation.  Entries hold the *instrument* (never its callback):
-        ``bind()`` rebinds in place, so value reads stay live.
+        Everything a snapshot needs besides the values themselves -- the
+        sorted series order, the counter/gauge split, the rendered
+        histogram ``_sum``/``_count`` keys and which reader fills which
+        column -- is invariant between registrations, so it is built once
+        per registration generation.  Instruments no group reader covers
+        share one reader that reads each of them on its own.
         """
         plan = self._plans.get(arch)
-        if plan is not None and plan[0] == self._generation:
+        if plan is not None and plan.generation == self._generation:
             return plan
-        counter_entries: list[tuple] = []
-        gauge_entries: list[tuple[str, Instrument]] = []
-        for instrument in self.instruments():
-            if arch is not None and instrument.labels.get("arch", arch) != arch:
-                continue
-            if isinstance(instrument, Counter):
-                counter_entries.append((instrument.key, None, instrument))
-            elif isinstance(instrument, Histogram):
-                counter_entries.append(
-                    (
-                        render_metric_key(instrument.name + "_sum", instrument.labels),
-                        render_metric_key(
-                            instrument.name + "_count", instrument.labels
-                        ),
-                        instrument,
-                    )
+        members = [
+            instrument
+            for instrument in self.instruments()
+            if arch is None or instrument.labels.get("arch", arch) == arch
+        ]
+        sources = {}
+        loose = tuple(instrument for instrument in members if instrument.source is None)
+        if loose:
+            reader = _Reader(
+                lambda: [value for each in loose for value in each.series()],
+                sum(instrument.width for instrument in loose),
+            )
+            column = 0
+            for instrument in loose:
+                sources[instrument] = (reader, column)
+                column += instrument.width
+        readers: list[_Reader] = []
+        offsets: dict[_Reader, int] = {}
+        counters: list[tuple[str, int]] = []
+        gauges: list[tuple[str, int]] = []
+        width = 0
+        for instrument in members:
+            reader, column = sources.get(instrument) or instrument.source
+            if reader not in offsets:
+                offsets[reader] = width
+                readers.append(reader)
+                width += reader.width
+            column += offsets[reader]
+            if isinstance(instrument, Histogram):
+                counters.append(
+                    (render_metric_key(instrument.name + "_sum", instrument.labels), column)
                 )
-            elif isinstance(instrument, Gauge):
-                gauge_entries.append((instrument.key, instrument))
-        plan = (self._generation, tuple(counter_entries), tuple(gauge_entries))
+                counters.append(
+                    (render_metric_key(instrument.name + "_count", instrument.labels), column + 1)
+                )
+            elif isinstance(instrument, Counter):
+                counters.append((instrument.key, column))
+            else:
+                gauges.append((instrument.key, column))
+        plan = _Plan(self._generation, readers, offsets, counters, gauges)
         self._plans[arch] = plan
         return plan
 
@@ -418,17 +530,71 @@ class MetricsRegistry:
         that carry no ``arch`` label at all) -- a shared registry can hold
         several runs' instruments without cross-talk in their timelines.
         """
-        for key, count_key, instrument in self._snapshot_plan(arch)[1]:
-            if count_key is None:
-                yield key, instrument.value
-            else:
-                yield key, instrument.sum
-                yield count_key, float(instrument.count)
+        plan = self._snapshot_plan(arch)
+        values = plan.read()[plan.counter_cols].tolist()
+        yield from zip(plan.counter_keys, values)
 
     def gauge_items(self, *, arch: str | None = None) -> Iterator[tuple[str, float]]:
         """``(key, value)`` for every gauge (same ``arch`` filter rule)."""
-        for key, instrument in self._snapshot_plan(arch)[2]:
-            yield key, instrument.value
+        plan = self._snapshot_plan(arch)
+        values = plan.read()[plan.gauge_cols].tolist()
+        yield from zip(plan.gauge_keys, values)
+
+
+@dataclass
+class TimelineColumns:
+    """A timeline's closed bins, column-major.
+
+    ``counters`` holds each bin's counter *deltas* and ``gauges`` each
+    bin's gauge values, one row per bin and one column per key.  A gauge
+    first registered mid-run is absent from the bins before
+    ``gauge_since[column]``.  This is what sharded workers ship back and
+    what :func:`merge_timeline_columns` sums; :meth:`rows` derives the
+    per-bin dict rows (zero deltas dropped).
+    """
+
+    arch: str
+    bin_s: float
+    t_end: list[float]
+    counter_keys: tuple[str, ...]
+    counters: np.ndarray
+    gauge_keys: tuple[str, ...]
+    gauges: np.ndarray
+    gauge_since: np.ndarray
+
+    def rows(self) -> list[dict]:
+        """One dict row per bin: counters with a non-zero delta, gauges
+        present in that bin."""
+        counter_keys, gauge_keys = self.counter_keys, self.gauge_keys
+        since = self.gauge_since.tolist()
+        partial = any(since)
+        rows = []
+        for index, (t_end, deltas, values) in enumerate(
+            zip(self.t_end, self.counters.tolist(), self.gauges.tolist())
+        ):
+            if partial:
+                gauges = {
+                    key: value
+                    for key, value, first in zip(gauge_keys, values, since)
+                    if first <= index
+                }
+            else:
+                gauges = dict(zip(gauge_keys, values))
+            rows.append(
+                {
+                    "arch": self.arch,
+                    "bin": index,
+                    "t_start": index * self.bin_s,
+                    "t_end": t_end,
+                    "counters": {
+                        key: delta
+                        for key, delta in zip(counter_keys, deltas)
+                        if delta != 0.0
+                    },
+                    "gauges": gauges,
+                }
+            )
+        return rows
 
 
 class Timeline:
@@ -441,6 +607,11 @@ class Timeline:
     partial (``t_end == end_time``) when the trace does not end on an
     edge.  Counter values are recorded as deltas -- they telescope, so
     summing any column over all rows reproduces the run total exactly.
+
+    Closed bins are kept columnar: each close reads the registry into one
+    float64 vector through the memoized snapshot plan (one call per group
+    reader).  Deltas, zero-filtering and dict rows are derived only when
+    :attr:`rows` or :meth:`columns` is read.
     """
 
     def __init__(
@@ -451,9 +622,11 @@ class Timeline:
         self.registry = registry
         self.bin_s = float(bin_s)
         self.arch = arch
-        self.rows: list[dict] = []
         self._bin = 0
-        self._last: dict[str, float] = {}
+        self._plans: list[_Plan] = []
+        self._values: list[np.ndarray] = []
+        self._t_ends: list[float] = []
+        self._rows: list[dict] | None = None
         self._close_hooks: list[Callable[[float], None]] = []
         self._finished = False
 
@@ -490,6 +663,58 @@ class Timeline:
         self._close(max(end_time, self._bin * self.bin_s))
         self._finished = True
 
+    @property
+    def rows(self) -> list[dict]:
+        """The per-bin rows closed so far (derived once, then cached)."""
+        if self._rows is None:
+            self._rows = self.columns().rows()
+        return self._rows
+
+    def columns(self) -> TimelineColumns:
+        """The closed bins as counter-delta and gauge matrices."""
+        bins = len(self._values)
+        last = self._plans[-1] if bins else self.registry._snapshot_plan(self.arch)
+        counters = np.zeros((bins, len(last.counter_keys)))
+        gauges = np.zeros((bins, len(last.gauge_keys)))
+        since = np.zeros(len(last.gauge_keys), dtype=np.int64)
+        start = 0
+        while start < bins:
+            plan = self._plans[start]
+            stop = start + 1
+            while stop < bins and self._plans[stop] is plan:
+                stop += 1
+            block = np.vstack(self._values[start:stop])
+            if plan is last:
+                counters[start:stop] = block[:, plan.counter_cols]
+                gauges[start:stop] = block[:, plan.gauge_cols]
+            else:
+                # Bins closed before a later registration: series only
+                # ever get added, so map this plan's keys into the last
+                # plan's layout (absent counters read 0.0, as the first
+                # delta of a new series is taken against 0.0).
+                counter_at = {key: j for j, key in enumerate(last.counter_keys)}
+                gauge_at = {key: j for j, key in enumerate(last.gauge_keys)}
+                counters[start:stop, [counter_at[k] for k in plan.counter_keys]] = (
+                    block[:, plan.counter_cols]
+                )
+                present = [gauge_at[k] for k in plan.gauge_keys]
+                gauges[start:stop, present] = block[:, plan.gauge_cols]
+                absent = np.ones(len(last.gauge_keys), dtype=bool)
+                absent[present] = False
+                since[absent] = stop
+            start = stop
+        deltas = np.diff(counters, axis=0, prepend=np.zeros((1, counters.shape[1])))
+        return TimelineColumns(
+            arch=self.arch or "",
+            bin_s=self.bin_s,
+            t_end=list(self._t_ends),
+            counter_keys=last.counter_keys,
+            counters=deltas,
+            gauge_keys=last.gauge_keys,
+            gauges=gauges,
+            gauge_since=since,
+        )
+
     def _close(self, t_end: float) -> None:
         # Host-profiling hook: bin closes are the telemetry hot spot (one
         # registry snapshot each), so they get their own span when a
@@ -509,24 +734,29 @@ class Timeline:
     def _close_impl(self, t_end: float) -> None:
         for hook in self._close_hooks:
             hook(t_end)
-        counters: dict[str, float] = {}
-        for key, value in self.registry.counter_items(arch=self.arch):
-            delta = value - self._last.get(key, 0.0)
-            self._last[key] = value
-            if delta != 0.0:
-                counters[key] = delta
-        gauges = dict(self.registry.gauge_items(arch=self.arch))
-        self.rows.append(
-            {
-                "arch": self.arch or "",
-                "bin": self._bin,
-                "t_start": self._bin * self.bin_s,
-                "t_end": t_end,
-                "counters": counters,
-                "gauges": gauges,
-            }
-        )
+        plan = self.registry._snapshot_plan(self.arch)
+        self._plans.append(plan)
+        self._values.append(plan.read())
+        self._t_ends.append(t_end)
+        self._rows = None
         self._bin += 1
+
+    def _patch(self, index: int, reader: _Reader, values: np.ndarray) -> None:
+        """Overwrite ``reader``'s columns in closed bin ``index``."""
+        start = self._plans[index].offsets[reader]
+        self._values[index][start : start + reader.width] = values
+        self._rows = None
+
+
+#: A window channel's result-flag counters, in series order.
+_FLAGS = (
+    "false_positive",
+    "false_negative",
+    "suboptimal_positive",
+    "push_hit",
+    "timeout_fallback",
+    "stale_hint_forward",
+)
 
 
 class _WindowChannel:
@@ -537,6 +767,10 @@ class _WindowChannel:
     instrument once at ``begin`` and holding it in a slot (or a list
     indexed by the AccessPoint int) turns ``observe`` into direct
     attribute access -- the memoized-lookup satellite of the fastpath PR.
+
+    Its snapshot series, in order: requests and bytes per access point,
+    intercache bytes, the flags, fault milliseconds, then the response
+    time's sum and count (``WIDTH`` in all).
     """
 
     __slots__ = (
@@ -544,14 +778,12 @@ class _WindowChannel:
         "bytes",
         "response",
         "intercache",
-        "false_positive",
-        "false_negative",
-        "suboptimal_positive",
-        "push_hit",
-        "timeout_fallback",
-        "stale_hint_forward",
+        *_FLAGS,
         "fault_ms",
+        "counters",
     )
+
+    WIDTH = 2 * len(AccessPoint) + 1 + len(_FLAGS) + 1 + 2
 
     def __init__(self, registry: MetricsRegistry, arch: str, window: str) -> None:
         # Index 0 is unused: AccessPoint ints start at 1.
@@ -580,14 +812,7 @@ class _WindowChannel:
             window_labels,
             help="Bytes moved cache-to-cache (remote hits)",
         )
-        for flag in (
-            "false_positive",
-            "false_negative",
-            "suboptimal_positive",
-            "push_hit",
-            "timeout_fallback",
-            "stale_hint_forward",
-        ):
+        for flag in _FLAGS:
             setattr(
                 self,
                 flag,
@@ -602,6 +827,45 @@ class _WindowChannel:
             window_labels,
             help="Response-time milliseconds attributable to faults",
         )
+        self.counters = (
+            *self.requests[1:],
+            *self.bytes[1:],
+            self.intercache,
+            *(getattr(self, flag) for flag in _FLAGS),
+            self.fault_ms,
+        )
+
+    def values(self) -> list[float]:
+        """The window's snapshot series (see the class docstring)."""
+        response = self.response
+        return [counter._value for counter in self.counters] + [
+            response.sum,
+            float(response.count),
+        ]
+
+    def steps(self, steps: np.ndarray, at: np.ndarray, *, point, size, time_ms,
+              remote_hit, flags, fault_ms) -> None:
+        """Lay rows ``at`` of a deferred batch out as per-series increments
+        in ``steps`` (a column per series; ``flags`` in ``_FLAGS`` order)
+        and bucket their response times."""
+        served = len(AccessPoint)
+        steps[at, point[at] - 1] = 1.0
+        steps[at, served + point[at] - 1] = size[at]
+        steps[at, 2 * served] = np.where(remote_hit[at], size[at], 0)
+        for column, flag in enumerate(flags, start=2 * served + 1):
+            steps[at, column] = flag[at]
+        if fault_ms is not None:
+            steps[at, -3] = fault_ms[at]
+        steps[at, -2] = time_ms[at]
+        steps[at, -1] = 1.0
+        self.response._bucket(time_ms[at])
+
+    def assign(self, values: list[float]) -> None:
+        """Adopt settled series values (the inverse of :meth:`values`)."""
+        for counter, value in zip(self.counters, values):
+            counter._value = value
+        self.response.sum = values[-2]
+        self.response.count = int(values[-1])
 
 
 class RunTelemetry:
@@ -613,6 +877,13 @@ class RunTelemetry:
     constant ``arch`` label keeps their instruments (and their timelines)
     apart, which is how the CLI's ``timeline`` verb exports all four
     architectures through one registry.
+
+    The reference engine accounts each request as it happens
+    (:meth:`observe`).  The fast engine classifies requests span by span
+    as the clock advances but prices them a batch at a time, so it
+    announces each span's rows with :meth:`defer` and accounts the whole
+    batch with :meth:`settle`: bins that closed in between get their
+    request-channel values from the batch's running sums.
     """
 
     def __init__(
@@ -622,6 +893,8 @@ class RunTelemetry:
         self.bin_s = float(bin_s)
         self.timeline: Timeline | None = None
         self.arch = ""
+        self._queued = 0
+        self._pending_closes: list[tuple[int, int]] = []
 
     # ------------------------------------------------------------------
     # engine-facing lifecycle
@@ -634,8 +907,12 @@ class RunTelemetry:
             raise RuntimeError("RunTelemetry drives exactly one run; build a new one")
         self.arch = architecture.name
         self.timeline = Timeline(self.registry, bin_s=self.bin_s, arch=self.arch)
-        self._warmup = _WindowChannel(self.registry, self.arch, "warmup")
-        self._measured = _WindowChannel(self.registry, self.arch, "measured")
+        warmup = self._warmup = _WindowChannel(self.registry, self.arch, "warmup")
+        measured = self._measured = _WindowChannel(self.registry, self.arch, "measured")
+        self._channels = self.registry.bind_reader(
+            [*warmup.counters, warmup.response, *measured.counters, measured.response],
+            lambda: warmup.values() + measured.values(),
+        )
         architecture.register_telemetry(self.registry)
         if injector is not None:
             bind_injector(self.registry, injector, arch=self.arch)
@@ -643,7 +920,13 @@ class RunTelemetry:
 
     def advance(self, t: float) -> None:
         """Clock hook; the engine calls this *before* the injector advances."""
-        self.timeline.advance(t)
+        timeline = self.timeline
+        closed = timeline._bin
+        timeline.advance(t)
+        if self._queued:
+            self._pending_closes += [
+                (index, self._queued) for index in range(closed, timeline._bin)
+            ]
 
     def observe(self, request: "Request", result: "AccessResult", *, measured: bool) -> None:
         """Account one processed request into the current bin's window."""
@@ -669,50 +952,85 @@ class RunTelemetry:
         if result.fault_added_ms:
             channel.fault_ms.inc(result.fault_added_ms)
 
-    def observe_values(
+    def defer(self, rows: int) -> None:
+        """``rows`` more requests were served; :meth:`settle` accounts them."""
+        self._queued += rows
+
+    def settle(
         self,
         *,
-        point: int,
-        size: int,
-        time_ms: float,
-        measured: bool,
-        remote_hit: bool = False,
-        false_positive: bool = False,
-        false_negative: bool = False,
-        suboptimal_positive: bool = False,
-        push_hit: bool = False,
-        timeout_fallback: bool = False,
-        stale_hint_forward: bool = False,
-        fault_added_ms: float = 0.0,
+        point: np.ndarray,
+        size: np.ndarray,
+        time_ms: np.ndarray,
+        measured: np.ndarray,
+        remote_hit: np.ndarray,
+        false_positive: np.ndarray,
+        false_negative: np.ndarray,
+        suboptimal_positive: np.ndarray,
+        push_hit: np.ndarray,
+        timeout_fallback: np.ndarray,
+        stale_hint_forward: np.ndarray,
+        fault_ms: np.ndarray | None = None,
     ) -> None:
-        """:meth:`observe` from plain scalars (the fast engine's decoder).
+        """:meth:`observe` for every deferred row at once, in row order.
 
-        Identical accounting without requiring ``Request``/``AccessResult``
-        objects, so a columnar run can stream decoded rows directly.
+        The arguments are columns over the deferred rows (``fault_ms``
+        ``None`` reads as zeros).  Each series' running sum starts at its
+        settled value and adds the rows left to right (``np.cumsum`` is
+        the strict running sum), so every value -- the float sums
+        included -- is the one per-request accounting would hold after
+        the same rows.  Bins closed while rows were deferred take their
+        request-channel values from the running sums at their position;
+        the instruments take the sums after the last row.
         """
-        channel = self._measured if measured else self._warmup
-        channel.requests[point].inc()
-        channel.bytes[point].inc(size)
-        channel.response.observe(time_ms)
-        if remote_hit:
-            channel.intercache.inc(size)
-        if false_positive:
-            channel.false_positive.inc()
-        if false_negative:
-            channel.false_negative.inc()
-        if suboptimal_positive:
-            channel.suboptimal_positive.inc()
-        if push_hit:
-            channel.push_hit.inc()
-        if timeout_fallback:
-            channel.timeout_fallback.inc()
-        if stale_hint_forward:
-            channel.stale_hint_forward.inc()
-        if fault_added_ms:
-            channel.fault_ms.inc(fault_added_ms)
+        rows = len(point)
+        if rows != self._queued:
+            raise RuntimeError(f"settling {rows} rows, but {self._queued} were deferred")
+        for values, what in (
+            (size, "counter increments"),
+            (fault_ms, "counter increments"),
+            (time_ms, "histogram observations"),
+        ):
+            if rows and values is not None and values.min() < 0:
+                raise ValueError(f"{what} must be non-negative, got {values.min()}")
+        width = _WindowChannel.WIDTH
+        channels = (self._warmup, self._measured)
+        running = np.zeros((rows + 1, 2 * width))
+        running[0] = self._warmup.values() + self._measured.values()
+        flags = (
+            false_positive,
+            false_negative,
+            suboptimal_positive,
+            push_hit,
+            timeout_fallback,
+            stale_hint_forward,
+        )
+        for window, (channel, rows_of) in enumerate(zip(channels, (~measured, measured))):
+            at = np.flatnonzero(rows_of)
+            if at.size:
+                channel.steps(
+                    running[1:, window * width : (window + 1) * width],
+                    at,
+                    point=point,
+                    size=size,
+                    time_ms=time_ms,
+                    remote_hit=remote_hit,
+                    flags=flags,
+                    fault_ms=fault_ms,
+                )
+        running = np.cumsum(running, axis=0)
+        for index, offset in self._pending_closes:
+            self.timeline._patch(index, self._channels, running[offset])
+        final = running[rows].tolist()
+        self._warmup.assign(final[:width])
+        self._measured.assign(final[width:])
+        self._queued = 0
+        self._pending_closes = []
 
     def finish(self, end_time: float) -> None:
         """Close the timeline at the trace's end (engine calls after loop)."""
+        if self._queued:
+            raise RuntimeError(f"{self._queued} deferred rows were never settled")
         self.timeline.finish(end_time)
 
     @property
@@ -724,53 +1042,137 @@ class RunTelemetry:
 # ----------------------------------------------------------------------
 # layer bindings (callback-backed instruments; zero request-path cost)
 # ----------------------------------------------------------------------
-def bind_cache(
+def _bind_objects(
     registry: MetricsRegistry,
-    cache,
+    objects: Sequence[tuple[Mapping[str, str], object]],
+    series: Sequence[tuple[str, str, str]],
+    read: Callable[[object], Sequence[float]],
+) -> None:
+    """Register ``series`` -- ``(name, kind, help)`` -- for every
+    ``(labels, obj)`` in ``objects``, valued by ``read(obj)``.
+
+    Each instrument keeps its own callback for ``value``; a timeline
+    close reads all of them through one group reader that calls
+    ``read`` once per object.
+    """
+    if not objects:
+        return
+    instruments = []
+    for labels, obj in objects:
+        for position, (name, kind, help_text) in enumerate(series):
+            register = registry.counter if kind == "counter" else registry.gauge
+            instruments.append(
+                register(
+                    name,
+                    labels,
+                    help=help_text,
+                    fn=lambda o=obj, p=position: float(read(o)[p]),
+                )
+            )
+    held = tuple(obj for _labels, obj in objects)
+
+    def read_all() -> list:
+        values: list = []
+        for obj in held:
+            values += read(obj)
+        return values
+
+    registry.bind_reader(instruments, read_all)
+
+
+#: Every data cache's series, valued by :func:`_cache_values`.
+_CACHE_SERIES = (
+    ("repro_cache_occupancy_bytes", "gauge", "Bytes currently cached"),
+    ("repro_cache_entries", "gauge", "Objects currently cached"),
+    ("repro_cache_insertions_total", "counter", "Objects stored since construction"),
+    ("repro_cache_evictions_total", "counter", "Capacity evictions since construction"),
+    (
+        "repro_cache_invalidations_total",
+        "counter",
+        "Consistency invalidations since construction",
+    ),
+)
+
+
+def _cache_values(cache) -> tuple:
+    return (
+        cache.occupancy_bytes,
+        len(cache),
+        cache.insertions,
+        cache.evictions,
+        cache.invalidations,
+    )
+
+
+#: A hint directory's series, valued by :func:`_directory_values`.
+_DIRECTORY_SERIES = (
+    ("repro_hint_entries", "gauge", "Objects with at least one visible hint"),
+    ("repro_hint_informs_total", "counter", "Inform events (new copies announced)"),
+    ("repro_hint_retracts_total", "counter", "Retract events (copies withdrawn)"),
+    (
+        "repro_hint_corrections_total",
+        "counter",
+        "Stale hints dropped after a probe found the copy gone",
+    ),
+    (
+        "repro_hint_false_negative_lookups_total",
+        "counter",
+        "Lookups that missed although a remote copy existed",
+    ),
+    (
+        "repro_hint_false_positive_probes_total",
+        "counter",
+        "Probes that found the advertised copy gone",
+    ),
+)
+
+
+def _directory_values(directory) -> tuple:
+    return (
+        directory.visible_entries,
+        directory.inform_events,
+        directory.retract_events,
+        directory.corrections,
+        directory.false_negatives,
+        directory.false_positives_recorded,
+    )
+
+
+#: ICP's sibling counters: (architecture attribute, name, help).
+_ICP_SERIES = (
+    ("sibling_queries", "repro_icp_sibling_queries_total", "ICP sibling queries issued"),
+    (
+        "sibling_hits",
+        "repro_icp_sibling_hits_total",
+        "ICP sibling queries answered by a sibling copy",
+    ),
+)
+
+
+def bind_caches(
+    registry: MetricsRegistry,
+    caches: Sequence,
     *,
     arch: str,
     level: str,
-    node: int,
 ) -> None:
-    """Register occupancy/churn instruments for one data cache.
+    """Register occupancy/churn instruments for one level's data caches.
 
     Works for any cache satisfying the
     :class:`repro.cache.policy.ReplacementPolicy` protocol's observation
     surface: ``occupancy_bytes``/``__len__`` plus the always-on
     ``insertions``/``evictions``/``invalidations`` counters (every policy
     cache and :class:`repro.cache.ttl.TTLCache`) -- one uniform accessor,
-    no per-class fallbacks.
+    no per-class fallbacks.  Cache ``i`` is labelled ``node=i``.
     """
-    labels = {"arch": arch, "level": level, "node": str(node)}
-    registry.gauge(
-        "repro_cache_occupancy_bytes",
-        labels,
-        help="Bytes currently cached",
-        fn=lambda c=cache: float(c.occupancy_bytes),
-    )
-    registry.gauge(
-        "repro_cache_entries",
-        labels,
-        help="Objects currently cached",
-        fn=lambda c=cache: float(len(c)),
-    )
-    registry.counter(
-        "repro_cache_insertions_total",
-        labels,
-        help="Objects stored since construction",
-        fn=lambda c=cache: float(c.insertions),
-    )
-    registry.counter(
-        "repro_cache_evictions_total",
-        labels,
-        help="Capacity evictions since construction",
-        fn=lambda c=cache: float(c.evictions),
-    )
-    registry.counter(
-        "repro_cache_invalidations_total",
-        labels,
-        help="Consistency invalidations since construction",
-        fn=lambda c=cache: float(c.invalidations),
+    _bind_objects(
+        registry,
+        [
+            ({"arch": arch, "level": level, "node": str(node)}, cache)
+            for node, cache in enumerate(caches)
+        ],
+        _CACHE_SERIES,
+        _cache_values,
     )
 
 
@@ -785,65 +1187,23 @@ def bind_architecture(registry: MetricsRegistry, architecture: "Architecture") -
     sibling counters ride along when present.
     """
     arch = architecture.name
-    for node, cache in enumerate(getattr(architecture, "l1_caches", ()) or ()):
-        bind_cache(registry, cache, arch=arch, level="l1", node=node)
-    for node, cache in enumerate(getattr(architecture, "l2_caches", ()) or ()):
-        bind_cache(registry, cache, arch=arch, level="l2", node=node)
+    bind_caches(registry, getattr(architecture, "l1_caches", ()) or (), arch=arch, level="l1")
+    bind_caches(registry, getattr(architecture, "l2_caches", ()) or (), arch=arch, level="l2")
     l3 = getattr(architecture, "l3_cache", None)
     if l3 is not None:
-        bind_cache(registry, l3, arch=arch, level="l3", node=0)
+        bind_caches(registry, (l3,), arch=arch, level="l3")
     directory = getattr(architecture, "directory", None)
     if directory is not None:
-        labels = {"arch": arch}
-        registry.gauge(
-            "repro_hint_entries",
-            labels,
-            help="Objects with at least one visible hint",
-            fn=lambda d=directory: float(d.visible_entries),
+        _bind_objects(
+            registry, [({"arch": arch}, directory)], _DIRECTORY_SERIES, _directory_values
         )
-        registry.counter(
-            "repro_hint_informs_total",
-            labels,
-            help="Inform events (new copies announced)",
-            fn=lambda d=directory: float(d.inform_events),
-        )
-        registry.counter(
-            "repro_hint_retracts_total",
-            labels,
-            help="Retract events (copies withdrawn)",
-            fn=lambda d=directory: float(d.retract_events),
-        )
-        registry.counter(
-            "repro_hint_corrections_total",
-            labels,
-            help="Stale hints dropped after a probe found the copy gone",
-            fn=lambda d=directory: float(d.corrections),
-        )
-        registry.counter(
-            "repro_hint_false_negative_lookups_total",
-            labels,
-            help="Lookups that missed although a remote copy existed",
-            fn=lambda d=directory: float(d.false_negatives),
-        )
-        registry.counter(
-            "repro_hint_false_positive_probes_total",
-            labels,
-            help="Probes that found the advertised copy gone",
-            fn=lambda d=directory: float(d.false_positives_recorded),
-        )
-    if hasattr(architecture, "sibling_queries"):
-        registry.counter(
-            "repro_icp_sibling_queries_total",
-            {"arch": arch},
-            help="ICP sibling queries issued",
-            fn=lambda a=architecture: float(a.sibling_queries),
-        )
-    if hasattr(architecture, "sibling_hits"):
-        registry.counter(
-            "repro_icp_sibling_hits_total",
-            {"arch": arch},
-            help="ICP sibling queries answered by a sibling copy",
-            fn=lambda a=architecture: float(a.sibling_hits),
+    icp = [entry for entry in _ICP_SERIES if hasattr(architecture, entry[0])]
+    if icp:
+        _bind_objects(
+            registry,
+            [({"arch": arch}, architecture)],
+            [(name, "counter", help_text) for _attr, name, help_text in icp],
+            lambda a: [getattr(a, attr) for attr, _name, _help in icp],
         )
 
 
@@ -856,40 +1216,61 @@ def bind_injector(
     gauge (1 up, 0 down); the level-wide conditions (origin slowdown,
     link degradation, hint loss) become gauges too, so degradation
     windows are visible in the same timeline as the hit-rate dip they
-    cause.
+    cause.  These gauges mirror the plan, not a partition's state, so a
+    sharded merge keeps one copy of them (:data:`MIRRORED_GAUGES`).
     """
-    from repro.faults.events import NodeCrash, NodeRecover
+    from repro.faults.events import NodeCrash, NodeKind, NodeRecover
 
     targets: set[tuple[str, int]] = set()
     for event in injector.plan.events:
         if isinstance(event, (NodeCrash, NodeRecover)):
             targets.add((event.kind.value, event.node))
-    for kind, node in sorted(targets):
+    targets = sorted(targets)
+    instruments = [
         registry.gauge(
             "repro_node_up",
             {"arch": arch, "kind": kind, "node": str(node)},
             help="1 while the node is reachable, 0 while crashed",
             fn=lambda i=injector, k=kind, n=node: 0.0 if i.is_down(k, n) else 1.0,
         )
+        for kind, node in targets
+    ]
     labels = {"arch": arch}
-    registry.gauge(
-        "repro_fault_origin_factor",
-        labels,
-        help="Current origin-fetch latency multiplier",
-        fn=lambda i=injector: float(i.origin_factor),
+    instruments.append(
+        registry.gauge(
+            "repro_fault_origin_factor",
+            labels,
+            help="Current origin-fetch latency multiplier",
+            fn=lambda i=injector: float(i.origin_factor),
+        )
     )
-    registry.gauge(
-        "repro_fault_latency_mult",
-        labels,
-        help="Current network-charge latency multiplier",
-        fn=lambda i=injector: float(i.latency_mult),
+    instruments.append(
+        registry.gauge(
+            "repro_fault_latency_mult",
+            labels,
+            help="Current network-charge latency multiplier",
+            fn=lambda i=injector: float(i.latency_mult),
+        )
     )
-    registry.gauge(
-        "repro_fault_hint_loss_prob",
-        labels,
-        help="Current hint-batch loss probability",
-        fn=lambda i=injector: float(i.hint_loss_prob),
+    instruments.append(
+        registry.gauge(
+            "repro_fault_hint_loss_prob",
+            labels,
+            help="Current hint-batch loss probability",
+            fn=lambda i=injector: float(i.hint_loss_prob),
+        )
     )
+    nodes = [(NodeKind(kind), node) for kind, node in targets]
+
+    def read() -> list[float]:
+        down = injector.down_nodes
+        return [0.0 if node in down else 1.0 for node in nodes] + [
+            float(injector.origin_factor),
+            float(injector.latency_mult),
+            float(injector.hint_loss_prob),
+        ]
+
+    registry.bind_reader(instruments, read)
 
 
 # ----------------------------------------------------------------------
@@ -993,57 +1374,69 @@ def warmup_convergence(
     )
 
 
-def merge_timeline_rows(row_lists: Sequence[Sequence[Mapping]]) -> list[dict]:
-    """Merge per-partition timeline rows of one architecture, bin by bin.
+#: Gauges that mirror the fault plan (:func:`bind_injector`), not the state
+#: of the partition that reports them.  Every partition of a sharded run
+#: replays the same plan, so a merge keeps one copy instead of summing.
+MIRRORED_GAUGES = frozenset(
+    {
+        "repro_node_up",
+        "repro_fault_origin_factor",
+        "repro_fault_latency_mult",
+        "repro_fault_hint_loss_prob",
+    }
+)
+
+
+def merge_timeline_columns(parts: Sequence[TimelineColumns]) -> TimelineColumns:
+    """Merge per-partition timelines of one architecture, bin by bin.
 
     The sharded runner gives every virtual partition its own
     :class:`RunTelemetry` over the same trace clock (same ``bin_s``, same
-    ``finish`` time), so the per-partition row lists are congruent: same
-    length, same ``bin``/``t_start``/``t_end``/``arch`` per position.
-    The merge sums counter *deltas* (they telescope, so merged bins
-    re-sum to the merged run totals exactly) and sums gauge values --
-    cache occupancies and entry counts add across partitions; a
-    non-additive gauge (e.g. a fault plan's per-node up flag, mirrored
-    into every partition) comes back multiplied by the partition count,
-    which the sharded runner documents rather than hides.
+    ``finish`` time), so the partitions' columns are congruent: same
+    architecture, bin edges and keys.  The merge sums counter *deltas*
+    (they telescope, so merged bins re-sum to the merged run totals
+    exactly) and sums gauge values -- cache occupancies and entry counts
+    add across partitions.  The :data:`MIRRORED_GAUGES` (node up/down and
+    the fault multipliers) mean the same in every partition: they are
+    checked to agree and kept once, so they read what the unsharded run
+    reports.
 
     Callers fold partitions in canonical partition order: summing floats
     in a fixed order is what keeps merged rows byte-identical for any
-    shard count.  Raises ``ValueError`` on incongruent row lists.
+    shard count.  Keys come back sorted.  Raises ``ValueError`` on
+    incongruent partitions or on mirrored gauges that disagree.
     """
-    row_lists = [list(rows) for rows in row_lists]
-    if not row_lists:
-        return []
-    first = row_lists[0]
-    for rows in row_lists[1:]:
-        if len(rows) != len(first):
+    if not parts:
+        raise ValueError("no timelines to merge")
+    first = parts[0]
+    mirrored = np.array(
+        [key.split("{", 1)[0] in MIRRORED_GAUGES for key in first.gauge_keys],
+        dtype=bool,
+    )
+    counters = np.zeros_like(first.counters)
+    gauges = np.zeros_like(first.gauges)
+    for index, part in enumerate(parts):
+        for name in ("arch", "bin_s", "t_end", "counter_keys", "gauge_keys"):
+            if getattr(part, name) != getattr(first, name):
+                raise ValueError(f"partition {index}: {name} differs from partition 0")
+        if not np.array_equal(part.gauge_since, first.gauge_since):
+            raise ValueError(f"partition {index}: gauge_since differs from partition 0")
+        if not np.array_equal(part.gauges[:, mirrored], first.gauges[:, mirrored]):
             raise ValueError(
-                f"cannot merge timelines of {len(rows)} vs {len(first)} bins"
+                f"partition {index}: mirrored fault gauges disagree with partition 0"
             )
-    merged: list[dict] = []
-    for index, base in enumerate(first):
-        counters: dict[str, float] = {}
-        gauges: dict[str, float] = {}
-        for rows in row_lists:
-            row = rows[index]
-            for field_name in ("arch", "bin", "t_start", "t_end"):
-                if row[field_name] != base[field_name]:
-                    raise ValueError(
-                        f"bin {index}: field {field_name!r} mismatch "
-                        f"({row[field_name]!r} vs {base[field_name]!r})"
-                    )
-            for key, delta in row.get("counters", {}).items():
-                counters[key] = counters.get(key, 0.0) + delta
-            for key, value in row.get("gauges", {}).items():
-                gauges[key] = gauges.get(key, 0.0) + value
-        merged.append(
-            {
-                "arch": base["arch"],
-                "bin": base["bin"],
-                "t_start": base["t_start"],
-                "t_end": base["t_end"],
-                "counters": dict(sorted(counters.items())),
-                "gauges": dict(sorted(gauges.items())),
-            }
-        )
-    return merged
+        counters += part.counters
+        gauges += part.gauges
+    gauges[:, mirrored] = first.gauges[:, mirrored]
+    counter_order = sorted(range(len(first.counter_keys)), key=first.counter_keys.__getitem__)
+    gauge_order = sorted(range(len(first.gauge_keys)), key=first.gauge_keys.__getitem__)
+    return TimelineColumns(
+        arch=first.arch,
+        bin_s=first.bin_s,
+        t_end=list(first.t_end),
+        counter_keys=tuple(first.counter_keys[j] for j in counter_order),
+        counters=counters[:, counter_order],
+        gauge_keys=tuple(first.gauge_keys[j] for j in gauge_order),
+        gauges=gauges[:, gauge_order],
+        gauge_since=first.gauge_since[gauge_order],
+    )

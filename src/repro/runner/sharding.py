@@ -27,12 +27,13 @@ Three layers make shard counts invisible in the results:
   ``shards`` only regroups identical per-partition computations.
 
 * **Canonical-order merge.**  Workers return per-partition results
-  *unmerged*; the coordinator folds
-  :meth:`repro.sim.metrics.SimMetrics.merge` and
-  :func:`repro.obs.telemetry.merge_timeline_rows` in ascending partition
-  order, with the float-addition order pinned.  Identical per-partition
-  values folded in an identical order are bit-identical for any shard
-  count and any job count.
+  *unmerged* -- metrics, and timelines as columns
+  (:class:`repro.obs.telemetry.TimelineColumns`), never dict rows; the
+  coordinator folds :meth:`repro.sim.metrics.SimMetrics.merge` and
+  :func:`repro.obs.telemetry.merge_timeline_columns` in ascending
+  partition order, with the float-addition order pinned.  Identical
+  per-partition values folded in an identical order are bit-identical
+  for any shard count and any job count.
 
 What the numbers mean: the paper's four architectures (hierarchy, ICP,
 hints, directory) keep their cache state per object, so with unbounded
@@ -49,20 +50,25 @@ across shard and job counts:
   a different sequence.
 
 Fault plans replay per partition (every partition sees the same node
-crash/recover schedule); merged timeline *gauges* are summed across
-partitions (occupancy adds; a mirrored per-node up flag comes back
-scaled by the partition count -- see
-:func:`repro.obs.telemetry.merge_timeline_rows`).
+crash/recover schedule).  Merged timeline *gauges* are summed across
+partitions (occupancy adds), except the ones that mirror the plan
+(``repro_node_up`` and ``repro_fault_*``): the partitions must agree on
+them and the merge keeps one copy, so they read what the unsharded run
+reports (see :func:`repro.obs.telemetry.merge_timeline_columns`).
 """
 
 from __future__ import annotations
 
+import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from repro.common.ids import partitions_of_objects
 from repro.common.timing import Stopwatch
+from repro.obs import profiling
 from repro.runner.specs import ArchitectureSpec
 from repro.runner.trace_cache import cached_trace
 from repro.sim.engine import run_simulation
@@ -72,6 +78,7 @@ from repro.traces.records import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.events import FaultPlan
+    from repro.obs.telemetry import TimelineColumns
 
 #: Default number of virtual partitions.  Fixed independently of the
 #: shard count -- this is the invariance anchor: results depend on the
@@ -245,14 +252,14 @@ def _shard_task(
     collect_timeline: bool,
     timeline_bin_s: float,
     engine: str,
-) -> list[tuple[int, SimMetrics, list[dict] | None, int]]:
+) -> list[tuple[int, SimMetrics, "TimelineColumns | None", int]]:
     """One (architecture, shard) work unit.
 
     Runs every virtual partition the shard owns and returns the
     *unmerged* per-partition results ``(partition, metrics, timeline
-    rows, distinct objects)`` -- merging happens in the coordinator, in
-    canonical partition order, so the fold order never depends on which
-    worker ran what.
+    columns, distinct objects)`` -- merging happens in the coordinator,
+    in canonical partition order, so the fold order never depends on
+    which worker ran what.
 
     Each partition runs whole through :func:`run_simulation`, on either
     engine: partitions share no object state, so running them one after
@@ -279,9 +286,9 @@ def _shard_task(
             telemetry=telemetry,
             engine=engine,
         )
-        rows = list(telemetry.rows) if telemetry is not None else None
+        columns = telemetry.timeline.columns() if telemetry is not None else None
         objects = int(np.unique(sub.columns().object).size)
-        results.append((partition, metrics, rows, objects))
+        results.append((partition, metrics, columns, objects))
     return results
 
 
@@ -312,7 +319,10 @@ def run_comparison_sharded(
 
     ``timeline_dir`` mirrors the parallel runner: merged per-bin rows
     land in ``<timeline_dir>/<architecture>.jsonl``, canonical JSONL,
-    byte-identical for any shard/job count.
+    byte-identical for any shard/job count.  Each architecture's file is
+    merged and written as soon as its partitions are in; under an
+    attached profiler each merge and each write records a
+    ``timeline_merge`` and an ``export`` span.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -327,116 +337,98 @@ def run_comparison_sharded(
             if reason is not None:
                 raise ValueError(reason)
     collect_timeline = timeline_dir is not None
+    if collect_timeline:
+        from repro.obs.export import write_timeline_jsonl
+        from repro.obs.telemetry import merge_timeline_columns
+
+        os.makedirs(timeline_dir, exist_ok=True)
+    profiler = profiling.active()
+
+    def span(name: str):
+        if profiler is None:
+            return nullcontext()
+        return profiler.span(name, category="runner")
 
     tasks = [
-        (spec_index, shard)
+        (
+            profile,
+            seed,
+            specs[spec_index],
+            shard,
+            plan,
+            warmup_s,
+            include_uncachable,
+            fault_plan,
+            collect_timeline,
+            timeline_bin_s,
+            engine,
+        )
         for spec_index in range(len(specs))
         for shard in range(plan.shards)
     ]
-    with Stopwatch() as stopwatch:
-        if jobs == 1:
-            outcomes = [
-                _shard_task(
-                    profile,
-                    seed,
-                    specs[spec_index],
-                    shard,
-                    plan,
-                    warmup_s,
-                    include_uncachable,
-                    fault_plan,
-                    collect_timeline,
-                    timeline_bin_s,
-                    engine,
-                )
-                for spec_index, shard in tasks
-            ]
-        else:
-            from repro.runner.parallel import _worker_init
-
-            with ProcessPoolExecutor(
-                max_workers=jobs,
-                initializer=_worker_init,
-                initargs=(trace_cache_dir,),
-            ) as pool:
-                futures = [
-                    pool.submit(
-                        _shard_task,
-                        profile,
-                        seed,
-                        specs[spec_index],
-                        shard,
-                        plan,
-                        warmup_s,
-                        include_uncachable,
-                        fault_plan,
-                        collect_timeline,
-                        timeline_bin_s,
-                        engine,
-                    )
-                    for spec_index, shard in tasks
-                ]
-                outcomes = [future.result() for future in futures]
-
-    # Regroup: (spec index -> partition -> (metrics, rows)); completion
-    # order never matters because every partition lands in its slot.
-    by_spec: list[dict[int, tuple[SimMetrics, list[dict] | None]]] = [
-        {} for _ in specs
-    ]
-    partition_objects = [0] * plan.virtual_partitions
-    for (spec_index, _shard), task_results in zip(tasks, outcomes):
-        for partition, metrics, rows, objects in task_results:
-            by_spec[spec_index][partition] = (metrics, rows)
-            partition_objects[partition] = objects
-
     results: dict[str, SimMetrics] = {}
     partition_metrics: dict[str, list[SimMetrics]] = {}
     timeline_rows: dict[str, list[dict]] = {}
     partition_requests = [0] * plan.virtual_partitions
-    for spec_index in range(len(specs)):
-        slots = by_spec[spec_index]
-        ordered = [slots[partition] for partition in range(plan.virtual_partitions)]
-        merged: SimMetrics | None = None
-        for metrics, _rows in ordered:
-            if merged is None:
-                merged = SimMetrics(
-                    architecture=metrics.architecture,
-                    cost_model=metrics.cost_model,
+    partition_objects = [0] * plan.virtual_partitions
+    with Stopwatch() as stopwatch, ExitStack() as stack:
+        # Task outcomes in task order (architecture-major, shards
+        # ascending), so partitions arrive in canonical order; each is
+        # consumed and released as soon as it arrives.
+        if jobs == 1:
+            outcomes = (_shard_task(*task) for task in tasks)
+        else:
+            from repro.runner.parallel import _worker_init
+
+            pool = stack.enter_context(
+                ProcessPoolExecutor(
+                    max_workers=jobs,
+                    initializer=_worker_init,
+                    initargs=(trace_cache_dir,),
                 )
-            merged.merge(metrics)
-        assert merged is not None  # virtual_partitions >= 1
-        if merged.architecture in results:
-            raise ValueError(
-                f"duplicate architecture name {merged.architecture!r}"
             )
-        merged.validate()
-        results[merged.architecture] = merged
-        partition_metrics[merged.architecture] = [m for m, _ in ordered]
-        if spec_index == 0:
-            for partition, (metrics, _rows) in enumerate(ordered):
-                partition_requests[partition] = (
-                    metrics.measured_requests
-                    + metrics.warmup_requests
-                    + metrics.skipped_error
-                    + metrics.skipped_uncachable
+            futures = deque(pool.submit(_shard_task, *task) for task in tasks)
+            outcomes = (futures.popleft().result() for _ in tasks)
+        for spec_index in range(len(specs)):
+            slots: dict[int, tuple[SimMetrics, "TimelineColumns | None"]] = {}
+            for _shard in range(plan.shards):
+                for partition, metrics, columns, objects in next(outcomes):
+                    slots[partition] = (metrics, columns)
+                    partition_objects[partition] = objects
+            ordered = [slots.pop(partition) for partition in range(plan.virtual_partitions)]
+            merged = SimMetrics(
+                architecture=ordered[0][0].architecture,
+                cost_model=ordered[0][0].cost_model,
+            )
+            for metrics, _columns in ordered:
+                merged.merge(metrics)
+            if merged.architecture in results:
+                raise ValueError(
+                    f"duplicate architecture name {merged.architecture!r}"
                 )
-        if collect_timeline:
-            from repro.obs.telemetry import merge_timeline_rows
-
-            timeline_rows[merged.architecture] = merge_timeline_rows(
-                [rows for _metrics, rows in ordered]
-            )
-
-    if timeline_dir is not None:
-        import os
-
-        from repro.obs.export import write_timeline_jsonl
-
-        os.makedirs(timeline_dir, exist_ok=True)
-        for name, rows in timeline_rows.items():
-            write_timeline_jsonl(
-                rows, os.path.join(timeline_dir, f"{name}.jsonl")
-            )
+            merged.validate()
+            results[merged.architecture] = merged
+            partition_metrics[merged.architecture] = [m for m, _ in ordered]
+            if spec_index == 0:
+                for partition, (metrics, _columns) in enumerate(ordered):
+                    partition_requests[partition] = (
+                        metrics.measured_requests
+                        + metrics.warmup_requests
+                        + metrics.skipped_error
+                        + metrics.skipped_uncachable
+                    )
+            if collect_timeline:
+                # Merged and written while the pool runs the next
+                # architecture's tasks: only the last write waits at the end.
+                with span("timeline_merge"):
+                    rows = merge_timeline_columns(
+                        [columns for _metrics, columns in ordered]
+                    ).rows()
+                timeline_rows[merged.architecture] = rows
+                with span("export"):
+                    write_timeline_jsonl(
+                        rows, os.path.join(timeline_dir, f"{merged.architecture}.jsonl")
+                    )
 
     return ShardedComparison(
         plan=plan,

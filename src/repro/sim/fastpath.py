@@ -44,14 +44,20 @@ only in how a miss finds a copy.  So one loop, :meth:`_Kernel.classify`,
 owns the batch prologue (column gathers) and the only L1 probe: it records
 each local hit inline (no call per hit) and hands each miss to the
 kernel's miss hook, which resolves it and returns ``(pattern, holder,
-point)``.  The driver then prices the span (``cost_reconstruct``) and --
-only when attached -- decodes its telemetry rows and journeys.  Priced
-spans wait until ``batch_size`` rows are pending (or the run ends) and are
-then folded into metrics in one pass (``metrics_fold``), so short spans
-cut by telemetry bins or fault edges do not each pay the fold's fixed
-cost.  Pricing, flags, result points, the fold's kind table and the
-journey decode are all derived from the kernel's ``STEPS`` table, so a
-journey shape is stated once.
+point)``.  Spans are classified in trace order, because classification
+mutates cache and directory state.  Everything after it is a pure
+function of the classified rows, so classified spans wait until
+``batch_size`` rows are pending (or the run ends) and are then handled
+once per batch: priced in one pass (``cost_reconstruct``, each span's rows
+under that span's fault snapshot), decoded into journeys and settled into
+telemetry when attached, and folded into metrics (``metrics_fold``).
+Short spans cut by telemetry bins or fault edges therefore pay none of
+those fixed costs per span.  Telemetry bins that close while rows are
+pending get their request-channel values from the batch's running sums
+(:meth:`repro.obs.telemetry.RunTelemetry.settle`).  Pricing, flags,
+result points, the fold's kind table and the journey decode are all
+derived from the kernel's ``STEPS`` table, so a journey shape is stated
+once.
 
 Fault windows
 -------------
@@ -68,13 +74,14 @@ patterns: a dead own proxy (timeout, then origin; split off before the
 probe loop, with no L1 lookup), a dead parent (timeout, then origin),
 ICP's dead siblings (the query round waits out the timeout and scans the
 live siblings only), a dead directory, and a dead holder named by stale
-metadata (a stale timeout).  Pricing applies the snapshot's multipliers
-to every network step (``hint_lookup`` excepted, ``origin_fetch`` also
-by the origin factor) and records each step's surcharge, which the fold
-and the decoders carry into the fault ledger.  A quiescent span is just
-the snapshot with no down node and unit multipliers, so there is one
-mode.  Client hints and message-level hints have no degraded path: under
-a plan they run their healthy path, as the reference does.
+metadata (a stale timeout).  Pricing applies each span's snapshot
+multipliers to that span's rows, on every network step (``hint_lookup``
+excepted, ``origin_fetch`` also by the origin factor), and records each
+step's surcharge, which the fold and the decoders carry into the fault
+ledger.  A quiescent span is just the snapshot with no down node and unit
+multipliers, so there is one mode.  Client hints and message-level hints
+have no degraded path: under a plan they run their healthy path, as the
+reference does.
 
 Audit hooks remain inherently per-request (checkpoints walk live state
 between requests), so audited runs still dispatch to the reference loop.
@@ -92,7 +99,6 @@ architecture-independent.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from itertools import repeat
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -270,26 +276,69 @@ def _slot_sum(slots: list[np.ndarray]) -> np.ndarray:
 
 
 class _BatchResult:
-    """Column store for one priced span (small ints + slot costs).
+    """Column store for one priced batch (small ints + slot costs).
 
-    ``fault_slots`` (each step's fault surcharge, journey order) is
-    ``None`` outside active fault windows, where every surcharge is 0.0.
+    ``fault_slots`` (each step's fault surcharge, journey order) and
+    ``active`` (rows of active fault windows) are ``None`` when no row of
+    the batch lies in an active fault window, where every surcharge is
+    0.0.
     """
 
     __slots__ = (
-        "pattern", "point", "aux", "flags", "slot_costs", "fault_slots",
-        "time_ms", "fault_ms",
+        "idx", "pattern", "point", "aux", "flags", "slot_costs", "fault_slots",
+        "active", "time_ms", "fault_ms",
     )
 
-    def __init__(self, pattern, point, aux, flags, slot_costs, fault_slots):
+    def __init__(self, idx, pattern, point, aux, flags, slot_costs, fault_slots, active):
+        self.idx = idx  # trace row per batch row
         self.pattern = pattern  # kernel-defined path shape per row
         self.point = point  # AccessPoint int per row
         self.aux = aux  # journey target node (requester or holder)
         self.flags = flags  # FLAG_* bitmask per row
         self.slot_costs = slot_costs  # list of float64 arrays, journey order
         self.fault_slots = fault_slots
+        self.active = active
         self.time_ms = _slot_sum(slot_costs)
         self.fault_ms = None if fault_slots is None else _slot_sum(fault_slots)
+
+
+class _Pending:
+    """Classified spans waiting for their batch's one price and fold.
+
+    Rows are numbered within the batch, in trace order; ``states`` holds
+    ``[fault snapshot, rows]`` runs, so pricing applies each span's
+    multipliers to its own rows.
+    """
+
+    __slots__ = ("idx", "misses", "found", "pushed", "down", "states", "rows")
+
+    def __init__(self) -> None:
+        self.idx: list[np.ndarray] = []
+        self.misses: list[int] = []
+        self.found: list[int] = []
+        self.pushed: list[int] = []
+        self.down: list[np.ndarray] = []
+        self.states: list[list] = []
+        self.rows = 0
+
+    def add(self, idx: np.ndarray, classified, state: _Faults) -> None:
+        """Queue one span's :meth:`_Kernel.classify` output."""
+        misses, found, pushed, down = classified
+        base = self.rows
+        if base:
+            misses = [row + base for row in misses]
+            pushed = [row + base for row in pushed]
+        self.idx.append(idx)
+        self.misses += misses
+        self.found += found
+        self.pushed += pushed
+        if down is not None:
+            self.down.append(down + base)
+        if self.states and self.states[-1][0] == state:
+            self.states[-1][1] += len(idx)
+        else:
+            self.states.append([state, len(idx)])
+        self.rows = base + len(idx)
 
 
 class _Kernel:
@@ -318,8 +367,9 @@ class _Kernel:
         self.requests = trace.requests
         # With a fault plan bound, *every* request takes the architecture's
         # ``_process_faulted`` path when it has one; ``degrades`` says the
-        # kernel replays it (tables, hooks and pricing read the span's
-        # ``state`` snapshot).  Client and message-level hints have none.
+        # kernel replays it (tables and hooks read the span's ``state``
+        # snapshot; pricing, each pending span's own).  Client and
+        # message-level hints have none.
         injector = architecture.faults
         self.faulted = injector is not None
         self.degrades = self.faulted and hasattr(architecture, "_process_faulted")
@@ -477,39 +527,61 @@ class _Kernel:
         """Build this kernel's per-miss hook (a closure over its state)."""
         raise NotImplementedError
 
-    def price(self, idx: np.ndarray, misses, found, pushed, down) -> _BatchResult:
+    def l1_hits(self, rows: int, classified) -> int:
+        """Rows of one classified span whose result point is L1."""
+        misses, found, _pushed, down = classified
+        hits = rows - len(misses) - (0 if down is None else len(down))
+        if found:
+            resolved = np.array(found, dtype=np.int64).reshape(-1, 3)
+            points = self._point_lut[resolved[:, 0]]
+            points = np.where(points == ROW, resolved[:, 2], points)
+            hits += int((points == int(L1)).sum())
+        return hits
+
+    def price(self, pending: _Pending) -> _BatchResult:
         """Scatter the misses over the all-local-hit default; price slots.
 
-        In an active span a degraded kernel charges every network step
-        ``base * latency_mult`` (``origin_fetch`` also times the origin
-        factor), ``hint_lookup`` stays undegraded, and a timeout costs the
-        plan's timeout; each step's surcharge lands in ``fault_slots``.
+        One pass over every pending span, each row under its own span's
+        fault snapshot: in an active span of a degraded kernel every
+        network step costs ``base * latency_mult`` (``origin_fetch`` also
+        times the origin factor), ``hint_lookup`` stays undegraded, and a
+        timeout costs the plan's timeout.  Each step's surcharge lands in
+        ``fault_slots``.
         """
+        idx = pending.idx[0] if len(pending.idx) == 1 else np.concatenate(pending.idx)
         n = len(idx)
         pattern = np.ones(n, dtype=np.int64)
         aux = self._l1_all[idx]
         row_point = np.ones(n, dtype=np.int64)
-        if misses:
-            rows = np.array(misses, dtype=np.int64)
+        if pending.misses:
+            rows = np.array(pending.misses, dtype=np.int64)
             pattern[rows], aux[rows], row_point[rows] = (
-                np.array(found, dtype=np.int64).reshape(-1, 3).T
+                np.array(pending.found, dtype=np.int64).reshape(-1, 3).T
             )
-        if down is not None:
+        for down in pending.down:
             pattern[down] = DOWN
         flags = self._flag_lut[pattern]
-        if pushed:
-            flags[np.array(pushed, dtype=np.int64)] |= FLAG_PUSH_HIT
+        if pending.pushed:
+            flags[np.array(pending.pushed, dtype=np.int64)] |= FLAG_PUSH_HIT
         point = self._point_lut[pattern]
         point = np.where(point == ROW, row_point, point)
         sizes = self.columns.size[idx]
         cost = self.arch.cost_model
-        state = self.state
-        mult, origin = state.latency_mult, state.origin_factor
-        scaled = self.degrades and (mult != 1.0 or origin != 1.0)
+        states = [state for state, _ in pending.states]
+        runs = [rows for _, rows in pending.states]
+        active = None
+        if any(state.active for state in states):
+            active = np.repeat([state.active for state in states], runs)
+        scaled = self.degrades and any(
+            state.latency_mult != 1.0 or state.origin_factor != 1.0 for state in states
+        )
+        if scaled:
+            mult = np.repeat([state.latency_mult for state in states], runs)
+            origin = np.repeat([state.origin_factor for state in states], runs)
         slot_costs = [np.zeros(n, dtype=np.float64) for _ in range(self._width)]
         fault_slots = (
             [np.zeros(n, dtype=np.float64) for _ in range(self._width)]
-            if state.active
+            if active is not None
             else None
         )
         for p, count in enumerate(np.bincount(pattern).tolist()):
@@ -533,13 +605,14 @@ class _Kernel:
                             cost, step.price, AccessPoint(value), at_sizes[sel]
                         )
                 if scaled and step.kind is not StepKind.HINT_LOOKUP:
-                    charged = base * mult
+                    # A quiescent span's rows multiply by 1.0: exact.
+                    charged = base * mult[rows]
                     if step.kind is StepKind.ORIGIN_FETCH:
-                        charged = charged * origin
+                        charged = charged * origin[rows]
                     fault_slots[slot][rows] = charged - base
                     base = charged
                 slot_costs[slot][rows] = base
-        return _BatchResult(pattern, point, aux, flags, slot_costs, fault_slots)
+        return _BatchResult(idx, pattern, point, aux, flags, slot_costs, fault_slots, active)
 
     def journeys(self, batch: _BatchResult, rows: list[int]):
         """Decode ``rows`` into the reference's journeys, step for step."""
@@ -1141,9 +1214,10 @@ def run_fast_simulation(
     sizes_col = columns.size
 
     # Host profiler: resolved once per run (detached, every span below is
-    # a null context); attached runs get one "batch" span per span with
-    # classify / price / decode children and hit-miss attributes, and a
-    # "metrics_fold" span per flushed batch.
+    # a null context).  Attached runs get one "batch" span per classified
+    # span (a "classify" child and hit-miss attributes) and, per flushed
+    # batch, "cost_reconstruct", decode and "metrics_fold" spans beside
+    # them.
     profiler = profiling.active()
 
     def span(name: str, **attrs):
@@ -1151,10 +1225,31 @@ def run_fast_simulation(
             return nullcontext()
         return profiler.span(name, category="fastpath", **attrs)
 
-    # Priced spans wait here until ``batch_size`` rows are pending: the
-    # fold's fixed cost is paid once per batch, not once per span.
-    pending: list[tuple[_BatchResult, np.ndarray, np.ndarray]] = []
-    pending_rows = 0
+    def flush(pending: _Pending) -> None:
+        """Price, decode and fold the pending spans as one batch."""
+        with span("cost_reconstruct", rows=pending.rows):
+            batch = kernel.price(pending)
+        measured = measured_mask[batch.idx]
+        sizes = sizes_col[batch.idx]
+        if telemetry is not None:
+            with span("telemetry_decode"):
+                _settle(telemetry, batch, measured, sizes)
+        if journey_sink is not None:
+            with span("journey_decode"):
+                first = metrics.measured_requests
+                decoded = np.flatnonzero(measured).tolist()
+                trace_rows = batch.idx.tolist()
+                for offset, (row, result) in enumerate(
+                    zip(decoded, kernel.journeys(batch, decoded))
+                ):
+                    journey_sink.emit(first + offset, requests[trace_rows[row]], result)
+        with span("metrics_fold", rows=pending.rows):
+            _fold_measured(metrics, kernel, batch, measured, sizes)
+
+    # Classified spans wait here until ``batch_size`` rows are pending:
+    # pricing, the fold and the telemetry settlement pay their fixed cost
+    # once per batch, not once per span.
+    pending = _Pending()
     for start, stop in zip(span_edges, span_edges[1:]):
         if telemetry is not None:
             telemetry.advance(float(time_col[start]))
@@ -1164,44 +1259,23 @@ def run_fast_simulation(
         rows = int(idx.size)
         if rows == 0:
             continue
-        kernel.span_begin(_Faults.of(injector))
+        state = _Faults.of(injector)
+        kernel.span_begin(state)
         with span("batch", rows=rows) as batch_span:
             with span("classify", rows=rows):
                 classified = kernel.classify(idx)
-            with span("cost_reconstruct", rows=rows):
-                batch = kernel.price(idx, *classified)
             if batch_span is not None:
-                hits = int((batch.point == int(AccessPoint.L1)).sum())
+                hits = kernel.l1_hits(rows, classified)
                 batch_span.attrs["l1_hits"] = hits
                 batch_span.attrs["l1_misses"] = rows - hits
-            span_measured = measured_mask[idx]
-            sizes = sizes_col[idx]
-            if telemetry is not None:
-                with span("telemetry_decode"):
-                    _observe_span(telemetry, batch, span_measured, sizes)
-            if journey_sink is not None:
-                with span("journey_decode"):
-                    # Sequence numbers count the measured rows still pending.
-                    first = metrics.measured_requests + sum(
-                        int(measured.sum()) for _, measured, _ in pending
-                    )
-                    decoded = np.flatnonzero(span_measured).tolist()
-                    trace_rows = idx.tolist()
-                    for offset, (row, result) in enumerate(
-                        zip(decoded, kernel.journeys(batch, decoded))
-                    ):
-                        journey_sink.emit(
-                            first + offset, requests[trace_rows[row]], result
-                        )
-            pending.append((batch, span_measured, sizes))
-            pending_rows += rows
-            if pending_rows >= batch_size:
-                with span("metrics_fold", rows=pending_rows):
-                    _fold_measured(metrics, kernel, pending)
-                pending, pending_rows = [], 0
-    if pending:
-        with span("metrics_fold", rows=pending_rows):
-            _fold_measured(metrics, kernel, pending)
+        pending.add(idx, classified, state)
+        if telemetry is not None:
+            telemetry.defer(rows)
+        if pending.rows >= batch_size:
+            flush(pending)
+            pending = _Pending()
+    if pending.rows:
+        flush(pending)
 
     architecture.processed_requests += processed_total
     if telemetry is not None:
@@ -1213,55 +1287,30 @@ def run_fast_simulation(
 def _fold_measured(
     metrics: SimMetrics,
     kernel: _Kernel,
-    pending: list[tuple[_BatchResult, np.ndarray, np.ndarray]],
+    batch: _BatchResult,
+    measured: np.ndarray,
+    sizes: np.ndarray,
 ) -> None:
-    """Fold the pending spans' measured rows into SimMetrics, bit-identically.
-
-    ``pending`` holds ``(batch, measured mask, sizes)`` per span, in trace
-    order; their measured rows are concatenated and folded as one batch.
-    """
-
-    def gather(columns) -> np.ndarray:
-        """One column's measured rows across the spans; ``None`` reads as
-        zeros (a span outside fault windows has no surcharges)."""
-        parts = [
-            np.zeros(int(measured.sum())) if column is None else column[measured]
-            for column, (_, measured, _) in zip(columns, pending)
-        ]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-    batches = [batch for batch, _, _ in pending]
-    patterns = gather([batch.pattern for batch in batches])
+    """Fold a priced batch's measured rows into SimMetrics, bit-identically."""
+    patterns = batch.pattern[measured]
     count = len(patterns)
     if count == 0:
         return
-    times = gather([batch.time_ms for batch in batches])
-    points = gather([batch.point for batch in batches])
-    flags = gather([batch.flags for batch in batches])
-    msizes = gather([sizes for _, _, sizes in pending])
+    times = batch.time_ms[measured]
+    points = batch.point[measured]
+    flags = batch.flags[measured]
+    msizes = sizes[measured]
     width = kernel._width
-    slot_costs = [
-        gather([batch.slot_costs[slot] for batch in batches]) for slot in range(width)
-    ]
-    # Fault surcharges exist only for spans of active fault windows; the
-    # others contribute 0.0, the identity of every fault sum below.
+    slot_costs = [costs[measured] for costs in batch.slot_costs]
+    # Fault surcharges exist only for batches with rows in active fault
+    # windows; the other rows carry 0.0, the identity of every fault sum.
     fault_slots = None
     degraded = metrics.degraded
-    if any(batch.fault_slots is not None for batch in batches):
-        fault_slots = [
-            gather([
-                None if batch.fault_slots is None else batch.fault_slots[slot]
-                for batch in batches
-            ])
-            for slot in range(width)
-        ]
-        degraded.faulted_requests += sum(
-            int(measured.sum())
-            for batch, measured, _ in pending
-            if batch.fault_slots is not None
-        )
+    if batch.fault_slots is not None:
+        fault_slots = [faults[measured] for faults in batch.fault_slots]
+        degraded.faulted_requests += int((batch.active & measured).sum())
         degraded.fault_added_ms = _sequential_sum(
-            degraded.fault_added_ms, gather([batch.fault_ms for batch in batches])
+            degraded.fault_added_ms, batch.fault_ms[measured]
         )
 
     metrics.measured_requests += count
@@ -1334,34 +1383,25 @@ def _fold_measured(
             agg.fault_ms = _sequential_sum(agg.fault_ms, fault_grid.ravel()[flat])
 
 
-def _observe_span(
+def _settle(
     telemetry: "RunTelemetry",
     batch: _BatchResult,
-    span_measured: np.ndarray,
+    measured: np.ndarray,
     sizes: np.ndarray,
 ) -> None:
-    """Decode one span's rows into telemetry observations, in row order."""
-    observe = telemetry.observe_values
-    points = batch.point.tolist()
-    times = batch.time_ms.tolist()
-    flags = batch.flags.tolist()
-    size_list = sizes.tolist()
-    measured_list = span_measured.tolist()
-    faults = repeat(0.0) if batch.fault_ms is None else batch.fault_ms.tolist()
-    for point, time_ms, flag, size, measured, fault_ms in zip(
-        points, times, flags, size_list, measured_list, faults
-    ):
-        observe(
-            point=point,
-            size=size,
-            time_ms=time_ms,
-            remote_hit=bool(flag & FLAG_REMOTE_HIT),
-            false_positive=bool(flag & FLAG_FALSE_POSITIVE),
-            false_negative=bool(flag & FLAG_FALSE_NEGATIVE),
-            suboptimal_positive=bool(flag & FLAG_SUBOPTIMAL),
-            push_hit=bool(flag & FLAG_PUSH_HIT),
-            timeout_fallback=bool(flag & FLAG_TIMEOUT),
-            stale_hint_forward=bool(flag & FLAG_STALE_FORWARD),
-            fault_added_ms=fault_ms,
-            measured=measured,
-        )
+    """Account a priced batch's rows into telemetry, decoding the flags."""
+    flags = batch.flags
+    telemetry.settle(
+        point=batch.point,
+        size=sizes,
+        time_ms=batch.time_ms,
+        measured=measured,
+        remote_hit=flags & FLAG_REMOTE_HIT != 0,
+        false_positive=flags & FLAG_FALSE_POSITIVE != 0,
+        false_negative=flags & FLAG_FALSE_NEGATIVE != 0,
+        suboptimal_positive=flags & FLAG_SUBOPTIMAL != 0,
+        push_hit=flags & FLAG_PUSH_HIT != 0,
+        timeout_fallback=flags & FLAG_TIMEOUT != 0,
+        stale_hint_forward=flags & FLAG_STALE_FORWARD != 0,
+        fault_ms=batch.fault_ms,
+    )

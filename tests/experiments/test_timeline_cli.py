@@ -14,6 +14,7 @@ from repro.netmodel.testbed import TestbedCostModel
 from repro.obs.export import (
     check_prometheus_text,
     check_timeline_rows,
+    prometheus_text,
     read_timeline_jsonl,
     write_timeline_jsonl,
 )
@@ -64,7 +65,8 @@ class TestTimelineVerb:
         assert "L1 hit rate" in warmup_convergence(hierarchy).summary_line()
 
     def test_rows_equal_reference_library_run(self, outputs, tmp_path):
-        """The verb's rows are byte-identical to the reference loop's."""
+        """The verb's rows and exposition are byte-identical to the
+        reference loop's."""
         config = default_config().with_scale(0.0002)
         trace = trace_for(config, "dec")
         cost = TestbedCostModel()
@@ -87,6 +89,7 @@ class TestTimelineVerb:
         reference = tmp_path / "reference.jsonl"
         write_timeline_jsonl(rows, str(reference))
         assert outputs[1].read_bytes() == reference.read_bytes()
+        assert outputs[2].read_text() == prometheus_text(registry)
 
     def test_csv_extension_switches_format(self, tmp_path):
         out = tmp_path / "timeline.csv"

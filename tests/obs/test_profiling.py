@@ -375,7 +375,10 @@ class TestEngineIntegration:
         assert [c.name for c in simulate.children] == ["reference_loop"]
 
     def test_fast_span_tree_has_kernel_batches(self, trace):
-        """Every kernel's batches classify, then price, then fold."""
+        """Every kernel's spans classify; each batch of rows is then
+        priced and folded once, even when telemetry bins cut the spans."""
+        from repro.obs.telemetry import RunTelemetry
+
         config, tiny = trace
         for make in (
             DataHierarchy,
@@ -386,7 +389,10 @@ class TestEngineIntegration:
             profiler = SpanProfiler()
             with profiling.attached(profiler):
                 fast = run_simulation(
-                    tiny, make(config.topology, TestbedCostModel()), engine="fast"
+                    tiny,
+                    make(config.topology, TestbedCostModel()),
+                    telemetry=RunTelemetry(),
+                    engine="fast",
                 )
             detached = run_simulation(
                 tiny, make(config.topology, TestbedCostModel()), engine="fast"
@@ -396,15 +402,21 @@ class TestEngineIntegration:
             batches = [c for c in simulate.children if c.name == "batch"]
             assert batches, "fast engine should record per-batch spans"
             for batch in batches:
-                names = [c.name for c in batch.children]
-                # Pricing is its own phase, a sibling of classify.
-                assert names[:2] == ["classify", "cost_reconstruct"], make
+                # Classification is per span and is the span's only phase.
+                assert [c.name for c in batch.children] == ["classify"], make
                 assert not batch.children[0].children
                 assert batch.attrs["rows"] > 0
                 assert (
                     batch.attrs["l1_hits"] + batch.attrs["l1_misses"]
                     == batch.attrs["rows"]
                 )
+            # Pricing and the fold are siblings of the spans, one pair per
+            # batch of rows: every row priced once, fewer prices than spans.
+            priced = [c.attrs["rows"] for c in simulate.children if c.name == "cost_reconstruct"]
+            folded = [c.attrs["rows"] for c in simulate.children if c.name == "metrics_fold"]
+            assert priced == folded, make
+            assert sum(priced) == sum(batch.attrs["rows"] for batch in batches)
+            assert len(priced) < len(batches), make
 
     def test_fast_engine_runs_fault_windows_on_the_kernels(self, trace):
         """Active fault windows run on the kernels, not a per-request

@@ -246,3 +246,92 @@ class TestWarmupConvergence:
         assert not report.converged
         assert report.converged_at_s is None
         assert "no requests" in report.summary_line()
+
+
+class TestTimelineColumns:
+    def test_registration_mid_run_keeps_row_semantics(self):
+        # Series only ever get added: a counter registered mid-run takes
+        # its first delta against 0.0, a gauge appears from its first bin.
+        registry = MetricsRegistry()
+        first = registry.counter("repro_a_total", {"arch": "t"})
+        timeline = Timeline(registry, bin_s=10.0, arch="t")
+        first.inc(2)
+        timeline.advance(10.0)
+        late = registry.counter("repro_b_total", {"arch": "t"})
+        gauge = registry.gauge("repro_g", {"arch": "t"})
+        late.inc(5)
+        gauge.set(3)
+        first.inc()
+        timeline.finish(20.0)
+        assert [row["counters"] for row in timeline.rows] == [
+            {'repro_a_total{arch="t"}': 2.0},
+            {'repro_a_total{arch="t"}': 1.0, 'repro_b_total{arch="t"}': 5.0},
+        ]
+        assert [row["gauges"] for row in timeline.rows] == [{}, {'repro_g{arch="t"}': 3.0}]
+
+    def test_group_reader_reads_each_close_once(self):
+        registry = MetricsRegistry()
+        reads = []
+        state = {"n": 0}
+
+        def read():
+            reads.append(state["n"])
+            return [state["n"], 2 * state["n"]]
+
+        instruments = [
+            registry.counter("repro_n_total", {"arch": "t"}, fn=lambda: state["n"]),
+            registry.gauge("repro_double", {"arch": "t"}, fn=lambda: 2 * state["n"]),
+        ]
+        registry.bind_reader(instruments, read)
+        timeline = Timeline(registry, bin_s=10.0, arch="t")
+        for step in range(3):
+            state["n"] = step + 1
+            timeline.advance((step + 1) * 10.0)
+        assert reads == [1, 2, 3]
+        assert [row["counters"] for row in timeline.rows] == [
+            {'repro_n_total{arch="t"}': 1.0},
+        ] * 3
+        assert [row["gauges"]['repro_double{arch="t"}'] for row in timeline.rows] == [
+            2.0, 4.0, 6.0,
+        ]
+        # Rebinding a callback drops the instrument from its group.
+        registry.counter("repro_n_total", {"arch": "t"}, fn=lambda: 10)
+        assert dict(registry.counter_items(arch="t")) == {'repro_n_total{arch="t"}': 10.0}
+
+    @staticmethod
+    def partition(occupancy, origin_factor, requests):
+        registry = MetricsRegistry()
+        counter = registry.counter("repro_requests_total", {"arch": "t"})
+        registry.gauge("repro_cache_entries", {"arch": "t"}, fn=lambda: occupancy)
+        registry.gauge("repro_fault_origin_factor", {"arch": "t"}, fn=lambda: origin_factor)
+        timeline = Timeline(registry, bin_s=10.0, arch="t")
+        counter.inc(requests)
+        timeline.finish(10.0)
+        return timeline.columns()
+
+    def test_merge_sums_partitions_and_keeps_mirrored_gauges_once(self):
+        from repro.obs.telemetry import merge_timeline_columns
+
+        merged = merge_timeline_columns(
+            [self.partition(3, 2.0, 1), self.partition(4, 2.0, 5)]
+        )
+        (row,) = merged.rows()
+        assert row["counters"] == {'repro_requests_total{arch="t"}': 6.0}
+        assert row["gauges"] == {
+            'repro_cache_entries{arch="t"}': 7.0,
+            'repro_fault_origin_factor{arch="t"}': 2.0,
+        }
+
+    def test_merge_rejects_disagreeing_mirrored_gauges(self):
+        from repro.obs.telemetry import merge_timeline_columns
+
+        with pytest.raises(ValueError, match="mirrored"):
+            merge_timeline_columns([self.partition(3, 2.0, 1), self.partition(3, 1.0, 1)])
+
+    def test_merge_rejects_incongruent_bins(self):
+        from repro.obs.telemetry import merge_timeline_columns
+
+        late = self.partition(3, 2.0, 1)
+        late.t_end = [11.0]
+        with pytest.raises(ValueError, match="t_end"):
+            merge_timeline_columns([self.partition(3, 2.0, 1), late])

@@ -206,3 +206,67 @@ def test_shared_registry_keeps_architectures_apart(tiny_config, dec_trace):
         # appear in this architecture's bins.
         other = "icp" if arch_name == "hierarchy" else "hierarchy"
         assert sum_counters(arch_rows, "repro_requests_total", {"arch": other}) == 0
+
+
+class TestSettle:
+    """The fast engine's bulk accounting keeps the per-request checks."""
+
+    @staticmethod
+    def settle(telemetry, **overrides):
+        import numpy as np
+
+        columns = dict(
+            point=np.array([1, 4]),
+            size=np.array([10, 20]),
+            time_ms=np.array([2.0, 900.0]),
+            measured=np.array([False, True]),
+            remote_hit=np.array([False, False]),
+            false_positive=np.array([False, True]),
+            false_negative=np.array([False, False]),
+            suboptimal_positive=np.array([False, False]),
+            push_hit=np.array([False, False]),
+            timeout_fallback=np.array([False, False]),
+            stale_hint_forward=np.array([False, False]),
+        )
+        columns.update(overrides)
+        telemetry.settle(**columns)
+
+    def started(self, tiny_config):
+        telemetry = RunTelemetry(bin_s=3600.0)
+        telemetry.begin(build("hierarchy", tiny_config))
+        telemetry.defer(2)
+        return telemetry
+
+    def test_settle_accounts_each_window(self, tiny_config):
+        telemetry = self.started(tiny_config)
+        self.settle(telemetry)
+        totals = dict(telemetry.registry.counter_items(arch="hierarchy"))
+        measured = 'arch="hierarchy",point="SERVER",window="measured"'
+        assert totals[f"repro_requests_total{{{measured}}}"] == 1.0
+        assert totals[f"repro_bytes_total{{{measured}}}"] == 20.0
+        assert totals['repro_response_time_ms_sum{arch="hierarchy",window="warmup"}'] == 2.0
+        assert (
+            totals['repro_result_flags_total{arch="hierarchy",flag="false_positive",'
+                   'window="measured"}']
+            == 1.0
+        )
+
+    @pytest.mark.parametrize(
+        "column, match",
+        [("size", "counter increments"), ("time_ms", "histogram observations"),
+         ("fault_ms", "counter increments")],
+    )
+    def test_rejects_negative_increments(self, tiny_config, column, match):
+        import numpy as np
+
+        telemetry = self.started(tiny_config)
+        with pytest.raises(ValueError, match=match):
+            self.settle(telemetry, **{column: np.array([1.0, -1.0])})
+
+    def test_rejects_rows_never_deferred(self, tiny_config):
+        telemetry = self.started(tiny_config)
+        telemetry.defer(1)
+        with pytest.raises(RuntimeError, match="deferred"):
+            self.settle(telemetry)
+        with pytest.raises(RuntimeError, match="never settled"):
+            telemetry.finish(10.0)

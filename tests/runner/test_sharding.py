@@ -27,6 +27,9 @@ from repro.hierarchy.directory_arch import CentralizedDirectoryArchitecture
 from repro.hierarchy.hint_hierarchy import HintHierarchy
 from repro.hierarchy.icp import IcpHierarchy
 from repro.netmodel.testbed import TestbedCostModel
+from repro.obs import profiling
+from repro.obs.export import read_timeline_jsonl
+from repro.runner.parallel import run_comparison_parallel
 from repro.runner.sharding import (
     ShardPlan,
     partition_spec,
@@ -290,6 +293,26 @@ class TestShardCountInvariance:
         )
         assert fast.results == tiny_comparisons[4].results
 
+    def test_coordinator_time_is_attributed(self, tmp_path):
+        """Under a profiler the coordinator's merge and JSONL write are
+        spans of their own, one pair per architecture as it completes."""
+        config = make_tiny_config()
+        profiler = profiling.SpanProfiler()
+        with profiling.attached(profiler):
+            run_comparison_sharded(
+                config.profile("dec"),
+                config.seed,
+                standard_specs(config)[:2],
+                shards=2,
+                timeline_dir=str(tmp_path),
+            )
+        names = [span.name for span in profiler.roots if span.name != "simulate"]
+        assert names == ["timeline_merge", "export"] * 2
+        assert profiler.roots[-1].name == "export"
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "hierarchy.jsonl", "icp.jsonl",
+        ]
+
     def test_duplicate_architecture_name_rejected(self):
         config = make_tiny_config()
         specs = standard_specs(config)[:1] * 2
@@ -335,6 +358,29 @@ def assert_metrics_match(unsharded, sharded, path):
         assert type(unsharded) is type(sharded) and unsharded == sharded, path
 
 
+#: Float-valued timeline series: their sharded sums differ from the
+#: unsharded ones in the order of addition only.
+FLOAT_SERIES = ("repro_response_time_ms_sum", "repro_fault_added_ms_total")
+
+
+def assert_rows_match(unsharded, sharded, arch):
+    """Same bins and keys; counts exact, float sums to 1e-12 relative."""
+    assert len(unsharded) == len(sharded), arch
+    for expected, got in zip(unsharded, sharded):
+        where = f"{arch} bin {expected['bin']}"
+        for field in ("arch", "bin", "t_start", "t_end"):
+            assert expected[field] == got[field], (where, field)
+        for group in ("counters", "gauges"):
+            assert set(expected[group]) == set(got[group]), (where, group)
+            for key, value in expected[group].items():
+                if key.split("{", 1)[0] in FLOAT_SERIES:
+                    assert math.isclose(
+                        value, got[group][key], rel_tol=1e-12, abs_tol=0.0
+                    ), (where, key)
+                else:
+                    assert value == got[group][key], (where, key)
+
+
 class TestExactness:
     """With unbounded caches, sharding the standard four changes no result.
 
@@ -345,7 +391,7 @@ class TestExactness:
     """
 
     @pytest.mark.parametrize("faulted", [False, True], ids=["clean", "faulted"])
-    def test_sharded_equals_unsharded(self, faulted):
+    def test_sharded_equals_unsharded(self, faulted, tmp_path):
         config = make_tiny_config()
         fault_plan = (
             FaultPlan(
@@ -365,6 +411,7 @@ class TestExactness:
             specs,
             shards=2,
             fault_plan=fault_plan,
+            timeline_dir=str(tmp_path / "sharded"),
             engine="auto",
         )
         unsharded = run_comparison(
@@ -379,3 +426,23 @@ class TestExactness:
         if faulted:
             degraded = unsharded["hierarchy"].degraded
             assert degraded.fault_added_ms > 0 or degraded.timeout_fallbacks > 0
+        # The merged timelines equal the unsharded ones too -- the fault
+        # gauges included, which every partition mirrors.
+        timeline_dir = tmp_path / "unsharded"
+        run_comparison_parallel(
+            config.profile("dec"),
+            config.seed,
+            specs,
+            fault_plan=fault_plan,
+            timeline_dir=str(timeline_dir),
+        )
+        for name in ARCHITECTURES:
+            assert_rows_match(
+                read_timeline_jsonl(str(timeline_dir / f"{name}.jsonl")),
+                sharded.timeline_rows[name],
+                name,
+            )
+        if faulted:
+            gauges = sharded.timeline_rows["hierarchy"][-1]["gauges"]
+            assert gauges['repro_fault_origin_factor{arch="hierarchy"}'] == 2.0
+            assert gauges['repro_fault_latency_mult{arch="hierarchy"}'] == 1.0

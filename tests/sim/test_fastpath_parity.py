@@ -43,6 +43,7 @@ from repro.hierarchy.icp import IcpHierarchy
 from repro.hierarchy.message_hints import MessageLevelHintHierarchy
 from repro.netmodel import LoadAwareCostModel, cost_model_by_name
 from repro.netmodel.testbed import TestbedCostModel
+from repro.obs.export import prometheus_text
 from repro.obs.sink import SamplingJourneySink
 from repro.obs.telemetry import MetricsRegistry, RunTelemetry
 from repro.push.hierarchical import HierarchicalPushOnMiss
@@ -351,12 +352,14 @@ def test_policy_cells_actually_evict(tiny_config, dec_trace):
 @pytest.mark.parametrize("fault_name", sorted(FAULT_PLANS))
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_instrumented_parity_matrix(kind, fault_name, tiny_config, dec_trace):
-    """Same matrix with journeys + telemetry attached: every journey step
-    and every timeline row byte-identical, not just the final metrics."""
+    """Same matrix with journeys + telemetry attached: every journey step,
+    every timeline row and the final registry's exposition (histogram
+    buckets included) byte-identical, not just the final metrics."""
     plan = make_plan(fault_name, tiny_config.seed)
     sinks = {}
     rows = {}
     metrics = {}
+    exposition = {}
     for engine in ("reference", "fast"):
         sink = SamplingJourneySink(capacity=None)
         telemetry = RunTelemetry(MetricsRegistry(), bin_s=3600.0)
@@ -370,9 +373,11 @@ def test_instrumented_parity_matrix(kind, fault_name, tiny_config, dec_trace):
         )
         sinks[engine] = sink
         rows[engine] = telemetry.rows
+        exposition[engine] = prometheus_text(telemetry.registry)
     assert metrics["reference"] == metrics["fast"]
     assert_same_journeys(sinks["reference"], sinks["fast"])
     assert rows["reference"] == rows["fast"]
+    assert exposition["reference"] == exposition["fast"]
 
 
 def test_matrix_cells_are_not_vacuous(tiny_config, dec_trace):
@@ -442,18 +447,30 @@ def test_parity_prodigy_trace(tiny_config, prodigy_trace):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_batch_size_invariance_pinned(kind, batch_size, tiny_config, dec_trace):
     """Fixed batch-boundary sweep on every kernel: 1 (degenerate, empty
-    miss lists), 7 (ragged), 1024 -- the probe's miss-row scatter."""
+    miss lists), 7 (ragged), 1024 -- the probe's miss-row scatter.  Ten-
+    minute telemetry bins close inside pending batches and on their
+    edges, so every row and the final exposition must match too."""
+    telemetry = {
+        engine: RunTelemetry(MetricsRegistry(), bin_s=600.0)
+        for engine in ("reference", "fast")
+    }
     reference = run_simulation(
         dec_trace,
         build_architecture(kind, tiny_config.topology),
+        telemetry=telemetry["reference"],
         engine="reference",
     )
     fast = run_fast_simulation(
         dec_trace,
         build_architecture(kind, tiny_config.topology),
+        telemetry=telemetry["fast"],
         batch_size=batch_size,
     )
     assert reference == fast
+    assert telemetry["reference"].rows == telemetry["fast"].rows
+    assert prometheus_text(telemetry["reference"].registry) == prometheus_text(
+        telemetry["fast"].registry
+    )
 
 
 @pytest.mark.parametrize("batch_size", [1, 7, 1024])
