@@ -23,65 +23,86 @@ from repro.experiments.base import ExperimentResult, resolve_config, trace_for
 from repro.hierarchy.data_hierarchy import DataHierarchy
 from repro.hierarchy.hint_hierarchy import HintHierarchy
 from repro.netmodel import cost_model_by_name
-from repro.push.base import PushPolicy, PushStats
+from repro.push.base import PushStats
 from repro.push.hierarchical import HierarchicalPushOnMiss
 from repro.push.update_push import UpdatePush
+from repro.runner.trace_cache import memoized
 from repro.sim.config import ExperimentConfig
-from repro.sim.engine import run_simulation
+from repro.sim.engine import run_simulation_costs
 from repro.sim.metrics import SimMetrics
 
 COST_MODELS = ("testbed", "min", "max")
 PUSH_MODES = ("push-1", "push-half", "push-all")
 
-
-def _policies(config: ExperimentConfig) -> list[PushPolicy | None]:
-    policies: list[PushPolicy | None] = [None, UpdatePush()]
-    policies.extend(
-        HierarchicalPushOnMiss(config.topology, mode, seed=config.seed)
-        for mode in PUSH_MODES
-    )
-    return policies
+#: Per cost model name, each system's metrics and push accounting.
+Systems = dict[str, dict[str, tuple[SimMetrics, PushStats | None]]]
 
 
-def run_systems(
-    config: ExperimentConfig, profile_name: str, cost_name: str
-) -> dict[str, tuple[SimMetrics, PushStats | None]]:
-    """Run every Figure 10 system for one cost model; keyed by system name.
+def _builders(config: ExperimentConfig) -> list:
+    """Each system as ``build(cost)``: a fresh architecture and policy."""
 
-    Each value pairs the system's metrics with its hint hierarchy's push
-    accounting (``None`` for the data hierarchy).  No architecture
+    def hierarchy(cost):
+        return DataHierarchy(
+            config.topology, cost,
+            l1_bytes=config.l1_cache_bytes,
+            l2_bytes=config.l1_cache_bytes,
+            l3_bytes=config.l1_cache_bytes,
+        )
+
+    def hints(policy):
+        return lambda cost: HintHierarchy(
+            config.topology, cost,
+            l1_bytes=config.hint_data_cache_bytes,
+            hint_capacity_bytes=config.hint_store_bytes,
+            push_policy=policy(),
+        )
+
+    def ideal(cost):
+        return HintHierarchy(
+            config.topology, cost,
+            l1_bytes=config.l1_cache_bytes,  # best case: replicas are free
+            hint_capacity_bytes=None,
+            charge_remote_as_l1=True,
+        )
+
+    def push(mode):
+        return lambda: HierarchicalPushOnMiss(config.topology, mode, seed=config.seed)
+
+    return [
+        hierarchy,
+        hints(lambda: None),
+        hints(UpdatePush),
+        *(hints(push(mode)) for mode in PUSH_MODES),
+        ideal,
+    ]
+
+
+def run_systems(config: ExperimentConfig, profile_name: str) -> Systems:
+    """Run every Figure 10 system once, priced under each cost model.
+
+    Returns ``{cost name: {system name: (metrics, push stats)}}``.  The
+    push accounting (``None`` for the data hierarchy) belongs to the one
+    classification, so every cost model shares it.  No architecture
     outlives the call: their caches dwarf everything Figures 10 and 11
     read from them.
     """
     trace = trace_for(config, profile_name)
-    cost = cost_model_by_name(cost_name)
-    results: dict[str, tuple[SimMetrics, PushStats | None]] = {}
+    costs = [cost_model_by_name(name) for name in COST_MODELS]
+    systems: Systems = {name: {} for name in COST_MODELS}
+    for build in _builders(config):
+        architecture, metrics = run_simulation_costs(trace, build, costs)
+        push_stats = getattr(architecture, "push_stats", None)
+        for name, priced in zip(COST_MODELS, metrics):
+            systems[name][architecture.name] = (priced, push_stats)
+    return systems
 
-    hierarchy = DataHierarchy(
-        config.topology, cost,
-        l1_bytes=config.l1_cache_bytes,
-        l2_bytes=config.l1_cache_bytes,
-        l3_bytes=config.l1_cache_bytes,
+
+def priced_systems(config: ExperimentConfig, profile_name: str) -> Systems:
+    """:func:`run_systems` under every cost model, memoized for the run
+    (Figure 11 reads Figure 10's systems instead of re-running them)."""
+    return memoized(
+        ("figure10", config, profile_name), lambda: run_systems(config, profile_name)
     )
-    results["hierarchy"] = (run_simulation(trace, hierarchy), None)
-
-    for policy in _policies(config):
-        arch = HintHierarchy(
-            config.topology, cost,
-            l1_bytes=config.hint_data_cache_bytes,
-            hint_capacity_bytes=config.hint_store_bytes,
-            push_policy=policy,
-        )
-        results[arch.name] = (run_simulation(trace, arch), arch.push_stats)
-
-    ideal = HintHierarchy(
-        config.topology, cost,
-        l1_bytes=config.l1_cache_bytes,  # best case: replicas are free
-        hint_capacity_bytes=None,
-        charge_remote_as_l1=True,
-    )
-    results[ideal.name] = (run_simulation(trace, ideal), ideal.push_stats)
-    return results
 
 
 def run(
@@ -90,8 +111,7 @@ def run(
     """Run the push-algorithm comparison for each cost model."""
     config = resolve_config(config)
     rows = []
-    for cost_name in COST_MODELS:
-        systems = run_systems(config, profile_name, cost_name)
+    for cost_name, systems in priced_systems(config, profile_name).items():
         hierarchy_ms = systems["hierarchy"][0].mean_response_ms
         hints_ms = systems["hints"][0].mean_response_ms
         for name, (metrics, _push_stats) in systems.items():

@@ -14,7 +14,8 @@ for latency.
 from __future__ import annotations
 
 from repro.experiments.base import ExperimentResult, resolve_config
-from repro.experiments.figure10 import run_systems
+from repro.experiments.figure10 import priced_systems
+from repro.netmodel import cost_model_by_name
 from repro.sim.config import ExperimentConfig
 
 #: Systems whose push behaviour the figure reports.
@@ -31,9 +32,13 @@ def run(
     profile_name: str = "dec",
     cost_name: str = "testbed",
 ) -> ExperimentResult:
-    """Measure push efficiency and bandwidth for each algorithm."""
+    """Measure push efficiency and bandwidth for each algorithm.
+
+    Figure 10 classifies the same systems: its run's systems serve here.
+    """
     config = resolve_config(config)
-    systems = run_systems(config, profile_name, cost_name)
+    cost_model_by_name(cost_name)  # refuses unknown names
+    systems = priced_systems(config, profile_name)[cost_name.lower()]
     demand_only_bw = systems["hints"][1].demand_bandwidth_bytes_per_s()
     rows = []
     for name in PUSH_SYSTEMS:

@@ -25,17 +25,22 @@ from repro.hierarchy.data_hierarchy import DataHierarchy
 from repro.hierarchy.directory_arch import CentralizedDirectoryArchitecture
 from repro.hierarchy.hint_hierarchy import HintHierarchy
 from repro.netmodel import cost_model_by_name
+from repro.runner.trace_cache import memoized
 from repro.sim.config import ExperimentConfig
-from repro.sim.engine import run_simulation
+from repro.sim.engine import run_simulation_costs
+from repro.sim.metrics import SimMetrics
 from repro.traces.profiles import all_profiles
 
 COST_MODELS = ("testbed", "min", "max")
 DISK_CONFIGS = ("infinite", "constrained")
 
 
-def architectures_for(config: ExperimentConfig, cost_name: str, disk: str):
-    """Build the three Figure 8 architectures for one configuration."""
-    cost = cost_model_by_name(cost_name)
+def builders_for(config: ExperimentConfig, disk: str) -> dict:
+    """The three Figure 8 architectures of one disk configuration.
+
+    Keyed as the rows name them; each value builds a fresh architecture
+    priced by the cost model it is given.
+    """
     if disk == "infinite":
         data_bytes = None
         hint_data_bytes = None
@@ -46,17 +51,36 @@ def architectures_for(config: ExperimentConfig, cost_name: str, disk: str):
         hint_store = config.hint_store_bytes
     else:
         raise ValueError(f"unknown disk config {disk!r}")
-    return [
-        DataHierarchy(
+    return {
+        "hierarchy": lambda cost: DataHierarchy(
             config.topology, cost,
             l1_bytes=data_bytes, l2_bytes=data_bytes, l3_bytes=data_bytes,
         ),
-        CentralizedDirectoryArchitecture(config.topology, cost, l1_bytes=data_bytes),
-        HintHierarchy(
+        "directory": lambda cost: CentralizedDirectoryArchitecture(
+            config.topology, cost, l1_bytes=data_bytes
+        ),
+        "hints": lambda cost: HintHierarchy(
             config.topology, cost,
             l1_bytes=hint_data_bytes, hint_capacity_bytes=hint_store,
         ),
-    ]
+    }
+
+
+def cell(
+    config: ExperimentConfig, profile_name: str, disk: str, key: str
+) -> list[SimMetrics]:
+    """One architecture of one Figure 8 cell, one metrics per COST_MODELS.
+
+    One classification priced under every model.  Memoized for the run,
+    so Table 6 reads the infinite-disk cells instead of re-running them.
+    """
+
+    def classify() -> list[SimMetrics]:
+        trace = trace_for(config, profile_name)
+        costs = [cost_model_by_name(name) for name in COST_MODELS]
+        return run_simulation_costs(trace, builders_for(config, disk)[key], costs)[1]
+
+    return memoized(("figure8", config, profile_name, disk, key), classify)
 
 
 def run(config: ExperimentConfig | None = None) -> ExperimentResult:
@@ -64,18 +88,19 @@ def run(config: ExperimentConfig | None = None) -> ExperimentResult:
     config = resolve_config(config)
     rows = []
     for profile in all_profiles():
-        trace = trace_for(config, profile.name)
         for disk in DISK_CONFIGS:
-            for cost_name in COST_MODELS:
+            cells = {
+                key: cell(config, profile.name, disk, key)
+                for key in builders_for(config, disk)
+            }
+            for index, cost_name in enumerate(COST_MODELS):
                 row: dict = {
                     "trace": profile.name,
                     "disk": disk,
                     "cost_model": cost_name,
                 }
-                for architecture in architectures_for(config, cost_name, disk):
-                    metrics = run_simulation(trace, architecture)
-                    key = architecture.name.split("+")[0]
-                    row[f"{key}_ms"] = metrics.mean_response_ms
+                for key, metrics in cells.items():
+                    row[f"{key}_ms"] = metrics[index].mean_response_ms
                 row["speedup_hints"] = row["hierarchy_ms"] / row["hints_ms"]
                 rows.append(row)
     return ExperimentResult(

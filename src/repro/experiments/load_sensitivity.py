@@ -18,7 +18,7 @@ from repro.hierarchy.hint_hierarchy import HintHierarchy
 from repro.netmodel.queueing import LoadAwareCostModel
 from repro.netmodel.testbed import TestbedCostModel
 from repro.sim.config import ExperimentConfig
-from repro.sim.engine import run_simulation
+from repro.sim.engine import run_simulation_costs
 
 #: Root-cache utilizations swept (0 = the paper's idle testbed).
 LOAD_FACTORS = (0.0, 0.3, 0.5, 0.7, 0.85, 0.95)
@@ -30,19 +30,24 @@ def run(
     """Sweep system load and report both architectures' response times."""
     config = resolve_config(config)
     trace = trace_for(config, profile_name)
-    rows = []
-    for load in LOAD_FACTORS:
-        cost = LoadAwareCostModel(TestbedCostModel(), load=load)
-        base = run_simulation(trace, DataHierarchy(config.topology, cost))
-        ours = run_simulation(trace, HintHierarchy(config.topology, cost))
-        rows.append(
-            {
-                "load": load,
-                "hierarchy_ms": base.mean_response_ms,
-                "hints_ms": ours.mean_response_ms,
-                "speedup": base.mean_response_ms / ours.mean_response_ms,
-            }
-        )
+    costs = [LoadAwareCostModel(TestbedCostModel(), load=load) for load in LOAD_FACTORS]
+    # Load prices the paths; it never changes them: one classification per
+    # architecture, priced at every load.
+    _, base = run_simulation_costs(
+        trace, lambda cost: DataHierarchy(config.topology, cost), costs
+    )
+    _, ours = run_simulation_costs(
+        trace, lambda cost: HintHierarchy(config.topology, cost), costs
+    )
+    rows = [
+        {
+            "load": load,
+            "hierarchy_ms": hierarchy.mean_response_ms,
+            "hints_ms": hints.mean_response_ms,
+            "speedup": hierarchy.mean_response_ms / hints.mean_response_ms,
+        }
+        for load, hierarchy, hints in zip(LOAD_FACTORS, base, ours)
+    ]
     return ExperimentResult(
         experiment="load_sensitivity",
         description="hint speedup vs cache-system load (the 2.1.1 hypothesis)",

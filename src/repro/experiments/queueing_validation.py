@@ -18,7 +18,7 @@ from repro.hierarchy.hint_hierarchy import HintHierarchy
 from repro.netmodel.queueing import LoadAwareCostModel
 from repro.netmodel.testbed import TestbedCostModel
 from repro.sim.config import ExperimentConfig
-from repro.sim.engine import run_simulation
+from repro.sim.engine import run_simulation_costs
 from repro.sim.queueing_sim import QueueingReplay, compression_for_target_load
 
 #: Target utilizations of the busiest node.
@@ -32,28 +32,35 @@ def run(
     config = resolve_config(config)
     trace = trace_for(config, profile_name)
     idle_cost = TestbedCostModel()
+    costs = [idle_cost] + [LoadAwareCostModel(idle_cost, load=t) for t in TARGET_LOADS]
+    # One classification per architecture: its idle pricing feeds the
+    # emergent replay, its load-aware pricings the analytic rows.
+    priced = {}
+    analytic = {}
+    for name, make in (("hierarchy", DataHierarchy), ("hints", HintHierarchy)):
+        priced[name] = []
+        _, metrics = run_simulation_costs(
+            trace,
+            lambda cost: make(config.topology, cost),
+            costs,
+            priced_rows=priced[name],
+        )
+        analytic[name] = metrics[1:]
+    # Emergent: replay both architectures through FIFO servers at a
+    # compression that drives the hierarchy's busiest node to target.
+    calibrations = compression_for_target_load(
+        trace, config.topology, priced["hierarchy"], TARGET_LOADS
+    )
     rows = []
-
-    for target in TARGET_LOADS:
-        # Emergent: replay both architectures through FIFO servers at a
-        # compression that drives the hierarchy's busiest node to target.
-        calibration = compression_for_target_load(
-            trace, DataHierarchy(config.topology, idle_cost), target
-        )
-        hierarchy_replay = QueueingReplay(
-            DataHierarchy(config.topology, idle_cost), compression=calibration
-        )
-        hints_replay = QueueingReplay(
-            HintHierarchy(config.topology, idle_cost), compression=calibration
-        )
-        hierarchy_q = hierarchy_replay.run(trace)
-        hints_q = hints_replay.run(trace)
-
-        # Analytic: the closed-form model at the same utilization.
-        loaded = LoadAwareCostModel(idle_cost, load=target)
-        hierarchy_a = run_simulation(trace, DataHierarchy(config.topology, loaded))
-        hints_a = run_simulation(trace, HintHierarchy(config.topology, loaded))
-
+    for target, calibration, hierarchy_a, hints_a in zip(
+        TARGET_LOADS, calibrations, analytic["hierarchy"], analytic["hints"]
+    ):
+        hierarchy_q = QueueingReplay(
+            config.topology, hierarchical=True, compression=calibration
+        ).run(trace, priced["hierarchy"])
+        hints_q = QueueingReplay(
+            config.topology, hierarchical=False, compression=calibration
+        ).run(trace, priced["hints"])
         rows.append(
             {
                 "target_load": target,

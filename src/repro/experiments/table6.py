@@ -19,10 +19,9 @@ extra hops, the more hints win).
 
 from __future__ import annotations
 
-from repro.experiments.base import ExperimentResult, resolve_config, trace_for
-from repro.experiments.figure8 import architectures_for
+from repro.experiments.base import ExperimentResult, resolve_config
+from repro.experiments.figure8 import COST_MODELS, cell
 from repro.sim.config import ExperimentConfig
-from repro.sim.engine import run_simulation
 from repro.traces.profiles import all_profiles
 
 #: The paper's Table 6, for side-by-side display.
@@ -34,19 +33,22 @@ PAPER_TABLE6 = {
 
 
 def run(config: ExperimentConfig | None = None) -> ExperimentResult:
-    """Compute hierarchy/hints response-time ratios per trace and model."""
+    """Compute hierarchy/hints response-time ratios per trace and model.
+
+    The ratios come from Figure 8's infinite-disk cells, read from the
+    run's memo when Figure 8 ran first.
+    """
     config = resolve_config(config)
     rows = []
     for profile in all_profiles():
-        trace = trace_for(config, profile.name)
+        hierarchy = cell(config, profile.name, "infinite", "hierarchy")
+        hints = cell(config, profile.name, "infinite", "hints")
         row: dict = {"trace": profile.name}
         for cost_name in ("max", "min", "testbed"):
-            hierarchy, _directory, hints = architectures_for(
-                config, cost_name, "infinite"
+            index = COST_MODELS.index(cost_name)
+            row[cost_name] = (
+                hierarchy[index].mean_response_ms / hints[index].mean_response_ms
             )
-            base = run_simulation(trace, hierarchy)
-            ours = run_simulation(trace, hints)
-            row[cost_name] = base.mean_response_ms / ours.mean_response_ms
             row[f"paper_{cost_name}"] = PAPER_TABLE6[profile.name][cost_name]
         rows.append(row)
     return ExperimentResult(

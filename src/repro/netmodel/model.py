@@ -74,8 +74,8 @@ class CostModel(abc.ABC):
     # ------------------------------------------------------------------
     # The fast engine prices whole batches of same-shaped accesses at once.
     # These defaults just loop the scalar methods, so every cost model is
-    # batch-capable by construction; models with closed-form pricing
-    # (e.g. the testbed model) override them with vectorized versions that
+    # batch-capable by construction; the shipped models (testbed,
+    # Rousskov, load-aware) override them with vectorized versions that
     # replay the scalar arithmetic elementwise, bit-for-bit.
 
     def hierarchical_ms_batch(self, point: AccessPoint, sizes) -> "np.ndarray":

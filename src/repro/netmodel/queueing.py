@@ -67,11 +67,14 @@ class LoadAwareCostModel(CostModel):
         rho = self.load * self._shares[level]
         return 1.0 / (1.0 - rho)
 
-    def _inflate(self, idle_ms: float, levels: list[AccessPoint]) -> float:
+    def _inflate(self, idle_ms, levels: list[AccessPoint]):
         """Inflate the service share of a cost across traversed levels.
 
         The idle cost is split evenly across the traversed cache levels'
         service components; each component queues independently.
+        ``idle_ms`` is a float or a float64 array: the same expression
+        runs elementwise, IEEE operation for operation, so the batch
+        methods equal the scalar ones bit for bit.
         """
         cache_levels = [lv for lv in levels if lv.is_cache]
         if not cache_levels:
@@ -84,6 +87,15 @@ class LoadAwareCostModel(CostModel):
     def _traversed(point: AccessPoint) -> list[AccessPoint]:
         return [lv for lv in AccessPoint if lv <= point]
 
+    @staticmethod
+    def _direct(point: AccessPoint) -> list[AccessPoint]:
+        return [point] if point.is_cache else []
+
+    @staticmethod
+    def _via_l1(point: AccessPoint) -> list[AccessPoint]:
+        far = [point] if point.is_cache and point != AccessPoint.L1 else []
+        return [AccessPoint.L1] + far
+
     # ------------------------------------------------------------------
     # CostModel interface
     # ------------------------------------------------------------------
@@ -92,16 +104,22 @@ class LoadAwareCostModel(CostModel):
         return self._inflate(idle, self._traversed(point))
 
     def direct_ms(self, point: AccessPoint, size: int) -> float:
-        idle = self.base.direct_ms(point, size)
-        levels = [point] if point.is_cache else []
-        return self._inflate(idle, levels)
+        return self._inflate(self.base.direct_ms(point, size), self._direct(point))
 
     def via_l1_ms(self, point: AccessPoint, size: int) -> float:
-        idle = self.base.via_l1_ms(point, size)
-        levels = [AccessPoint.L1] + ([point] if point.is_cache and point != AccessPoint.L1 else [])
-        return self._inflate(idle, levels)
+        return self._inflate(self.base.via_l1_ms(point, size), self._via_l1(point))
 
     def probe_ms(self, point: AccessPoint) -> float:
-        idle = self.base.probe_ms(point)
-        levels = [point] if point.is_cache else []
-        return self._inflate(idle, levels)
+        return self._inflate(self.base.probe_ms(point), self._direct(point))
+
+    # Batch pricing: the base model's batch array through the same
+    # ``_inflate`` expression, elementwise.
+    def hierarchical_ms_batch(self, point: AccessPoint, sizes) -> "np.ndarray":
+        idle = self.base.hierarchical_ms_batch(point, sizes)
+        return self._inflate(idle, self._traversed(point))
+
+    def direct_ms_batch(self, point: AccessPoint, sizes) -> "np.ndarray":
+        return self._inflate(self.base.direct_ms_batch(point, sizes), self._direct(point))
+
+    def via_l1_ms_batch(self, point: AccessPoint, sizes) -> "np.ndarray":
+        return self._inflate(self.base.via_l1_ms_batch(point, sizes), self._via_l1(point))

@@ -143,6 +143,16 @@ class RousskovCostModel(CostModel):
             return self._miss_server()
         return self._connect(point)
 
+    # Batch pricing: size-independent, so a batch is its scalar repeated.
+    def hierarchical_ms_batch(self, point: AccessPoint, sizes) -> "np.ndarray":
+        return _repeat(self.hierarchical_ms(point), sizes)
+
+    def direct_ms_batch(self, point: AccessPoint, sizes) -> "np.ndarray":
+        return _repeat(self.direct_ms(point), sizes)
+
+    def via_l1_ms_batch(self, point: AccessPoint, sizes) -> "np.ndarray":
+        return _repeat(self.via_l1_ms(point), sizes)
+
     def table3_row(self, point: AccessPoint) -> dict[str, float]:
         """One row of the paper's Table 3 for this bound."""
         return {
@@ -150,3 +160,10 @@ class RousskovCostModel(CostModel):
             "direct": self.direct_ms(point),
             "via_l1": self.via_l1_ms(point),
         }
+
+
+def _repeat(value: float, sizes) -> "np.ndarray":
+    """``value`` once per size, as the scalar loop would price them."""
+    import numpy as np
+
+    return np.full(len(sizes), value, dtype=np.float64)

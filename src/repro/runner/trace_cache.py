@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
+from typing import Callable, TypeVar
 
 from repro.common.errors import TraceFormatError
 from repro.common.timing import Stopwatch
@@ -52,6 +53,8 @@ from repro.traces.io import read_trace, write_trace
 from repro.traces.profiles import WorkloadProfile
 from repro.traces.records import Trace
 from repro.traces.synthetic import SyntheticTraceGenerator
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -134,6 +137,8 @@ class TraceCache:
         self.directory = os.fspath(directory) if directory is not None else None
         self.stats = TraceCacheStats()
         self._memory: dict[str, Trace] = {}
+        #: Results computed from this cache's traces (see :func:`memoized`).
+        self.results: dict = {}
         self._sweep_orphans()
 
     def get(self, profile: WorkloadProfile, seed: int) -> Trace:
@@ -166,8 +171,9 @@ class TraceCache:
         return trace
 
     def clear_memory(self) -> None:
-        """Drop the in-process memo (disk files are left in place)."""
+        """Drop the in-process memos (disk files are left in place)."""
         self._memory.clear()
+        self.results.clear()
 
     def __len__(self) -> int:
         return len(self._memory)
@@ -262,3 +268,19 @@ def set_trace_cache(cache: TraceCache) -> TraceCache:
 def cached_trace(profile: WorkloadProfile, seed: int) -> Trace:
     """Fetch-or-generate a trace through the active cache (read-only share)."""
     return _ACTIVE.get(profile, seed)
+
+
+def memoized(key, compute: Callable[[], T]) -> T:
+    """``compute()`` once per ``key`` for the active cache's lifetime.
+
+    Lets experiments share simulation results (``table6`` reads
+    ``figure8``'s cells) without re-running them.  The memo lives and
+    dies with the active cache: the CLI process, each parallel worker and
+    each benchmark pass install a fresh one, so nothing outlives a run.
+    ``key`` must name every input of ``compute``; values are shared
+    read-only, like the traces.
+    """
+    results = _ACTIVE.results
+    if key not in results:
+        results[key] = compute()
+    return results[key]

@@ -11,12 +11,17 @@ One call = one architecture over one trace:
   exclusion is visible;
 * every measured request's :class:`~repro.hierarchy.base.AccessResult`
   feeds one :class:`~repro.sim.metrics.SimMetrics`.
+
+:func:`run_simulation_costs` is the same call for several cost models:
+the paper classifies each request once and "parameterize[s] results using
+estimates of Internet access times", so one classification is priced
+under every model (N fresh runs on the reference engine).
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.hierarchy.base import Architecture
 from repro.obs import profiling
@@ -26,6 +31,7 @@ from repro.traces.records import Trace
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.audit.hooks import AuditHooks
     from repro.faults.events import FaultPlan
+    from repro.netmodel.model import CostModel
     from repro.obs.sink import JourneySink
     from repro.obs.telemetry import RunTelemetry
 
@@ -104,48 +110,147 @@ def run_simulation(
             the oracle the parity tests and :mod:`repro.audit` hold the
             fast engine to.
     """
+    _, (metrics,) = run_simulation_costs(
+        trace,
+        lambda _cost: architecture,
+        [architecture.cost_model],
+        warmup_s=warmup_s,
+        include_uncachable=include_uncachable,
+        fault_plan=fault_plan,
+        journey_sink=journey_sink,
+        telemetry=telemetry,
+        audit=audit,
+        engine=engine,
+    )
+    return metrics
+
+
+def run_simulation_costs(
+    trace: Trace,
+    build: "Callable[[CostModel], Architecture]",
+    costs: "Sequence[CostModel]",
+    *,
+    warmup_s: float | None = None,
+    include_uncachable: bool = False,
+    fault_plan: "FaultPlan | None" = None,
+    journey_sink: "JourneySink | None" = None,
+    telemetry: "RunTelemetry | None" = None,
+    audit: "AuditHooks | None" = None,
+    engine: str = "auto",
+    priced_rows: list | None = None,
+) -> tuple[Architecture, list[SimMetrics]]:
+    """Classify once, price under every cost model: one SimMetrics each.
+
+    A cost model only prices a journey after it is classified; it never
+    changes what is cached, what a hint says, or where a request is
+    served (the cost-independence invariant, DESIGN.md section 5).  So
+    the fast engine builds one architecture, ``build(costs[0])``, runs it
+    once and prices every batch under each model.  The reference engine
+    (``engine="reference"``, audit hooks, architectures without a kernel)
+    builds one architecture per model and runs each: the N fresh runs the
+    one classification must equal byte for byte.
+
+    Args:
+        build: ``build(cost)`` returns a fresh architecture priced by
+            ``cost`` (new state, push policy included, on every call).
+        costs: Cost models, in the order of the returned metrics.
+        priced_rows: Optional list receiving ``costs[0]``'s priced rows
+            (:func:`repro.sim.fastpath.run_fast_simulation`); they come
+            from the fast engine, so a reference run refuses them.
+        The other keywords are :func:`run_simulation`'s.  A journey sink
+        or telemetry records one pricing, so it takes a single model.
+
+    Returns:
+        ``(architecture, metrics)``: the architecture that ran under
+        ``costs[0]`` (its push accounting serves every model) and one
+        :class:`SimMetrics` per cost model, in order.
+    """
+    from repro.sim.fastpath import check_pricings
+
+    costs = list(costs)
+    check_pricings(costs, journey_sink, telemetry)
+    built = [_build(build, costs[0], [])]
+    architecture = built[0]
+    options = dict(
+        warmup_s=warmup_s,
+        include_uncachable=include_uncachable,
+        fault_plan=fault_plan,
+        journey_sink=journey_sink,
+        telemetry=telemetry,
+        audit=audit,
+        engine=engine,
+    )
+    if _runs_fast(architecture, audit, engine):
+        return architecture, _simulate(
+            trace, architecture, costs, True, priced_rows=priced_rows, **options
+        )
+    if priced_rows is not None:
+        raise ValueError(
+            "priced rows come from the fast engine; this run takes the "
+            "reference loop"
+        )
+    metrics = _simulate(trace, architecture, costs[:1], False, **options)
+    for cost in costs[1:]:
+        built.append(_build(build, cost, built))
+        metrics += _simulate(trace, built[-1], [cost], False, **options)
+    return architecture, metrics
+
+
+def _build(build, cost: "CostModel", built: list[Architecture]) -> Architecture:
+    """``build(cost)``, refused unless fresh and priced by ``cost``."""
+    architecture = build(cost)
+    if architecture.cost_model is not cost or any(a is architecture for a in built):
+        raise ValueError(
+            "build(cost) must return a fresh architecture priced by cost"
+        )
+    return architecture
+
+
+def _runs_fast(architecture: Architecture, audit, engine: str) -> bool:
+    """Whether a run takes the fast engine; ``engine="fast"`` raises
+    where no kernel drives the architecture."""
     if engine not in ("reference", "fast", "auto"):
         raise ValueError(
             f"unknown engine {engine!r}; expected 'reference', 'fast', or 'auto'"
         )
+    if engine == "reference":
+        return False
+    from repro.sim import fastpath
+
+    reason = fastpath.fast_unsupported_reason(architecture)
+    if reason is not None:
+        if engine == "fast":
+            raise ValueError(reason)
+        return False
+    # Residual dispatch: audit checkpoints (and pre-attached fault or
+    # audit state) run the per-request loop -- the fastpath module's
+    # sanctioned residual.
+    return audit is None and architecture.faults is None and architecture.audit is None
+
+
+def _simulate(trace, architecture, costs, fast, *, engine, **options) -> list[SimMetrics]:
+    """One classification priced under ``costs``, in a ``simulate`` span."""
     profiler = profiling.active()
     if profiler is None:
-        return _run_simulation(
-            trace,
-            architecture,
-            warmup_s=warmup_s,
-            include_uncachable=include_uncachable,
-            fault_plan=fault_plan,
-            journey_sink=journey_sink,
-            telemetry=telemetry,
-            audit=audit,
-            engine=engine,
-        )
+        return _run_simulation(trace, architecture, costs, fast, **options)
     with profiler.span(
         "simulate",
         category="engine",
         arch=architecture.name,
         engine=engine,
         requests=len(trace.requests),
+        costs=[cost.name for cost in costs],
     ) as span:
-        metrics = _run_simulation(
-            trace,
-            architecture,
-            warmup_s=warmup_s,
-            include_uncachable=include_uncachable,
-            fault_plan=fault_plan,
-            journey_sink=journey_sink,
-            telemetry=telemetry,
-            audit=audit,
-            engine=engine,
-        )
-        span.attrs["measured_requests"] = metrics.measured_requests
+        metrics = _run_simulation(trace, architecture, costs, fast, **options)
+        span.attrs["measured_requests"] = metrics[0].measured_requests
     return metrics
 
 
 def _run_simulation(
     trace: Trace,
     architecture: Architecture,
+    costs: "list[CostModel]",
+    fast: bool,
     *,
     warmup_s: float | None,
     include_uncachable: bool,
@@ -153,33 +258,24 @@ def _run_simulation(
     journey_sink: "JourneySink | None",
     telemetry: "RunTelemetry | None",
     audit: "AuditHooks | None",
-    engine: str,
-) -> SimMetrics:
-    """:func:`run_simulation` body, shared by the profiled/unprofiled entry."""
-    if engine != "reference":
+    priced_rows: list | None = None,
+) -> list[SimMetrics]:
+    """One run: the fast engine prices every model in ``costs``; the
+    reference loop prices the architecture's own, ``costs``' only one."""
+    if fast:
         from repro.sim import fastpath
 
-        reason = fastpath.fast_unsupported_reason(architecture)
-        if reason is not None:
-            if engine == "fast":
-                raise ValueError(reason)
-        elif (
-            audit is None
-            and architecture.faults is None
-            and architecture.audit is None
-        ):
-            return fastpath.run_fast_simulation(
-                trace,
-                architecture,
-                warmup_s=warmup_s,
-                include_uncachable=include_uncachable,
-                fault_plan=fault_plan,
-                journey_sink=journey_sink,
-                telemetry=telemetry,
-            )
-        # Residual dispatch: audit checkpoints (and pre-attached fault or
-        # audit state) run the per-request loop below -- the fastpath
-        # module's sanctioned residual.
+        return fastpath.run_fast_simulation(
+            trace,
+            architecture,
+            warmup_s=warmup_s,
+            include_uncachable=include_uncachable,
+            fault_plan=fault_plan,
+            journey_sink=journey_sink,
+            telemetry=telemetry,
+            costs=costs,
+            priced_rows=priced_rows,
+        )
     boundary = trace.warmup if warmup_s is None else warmup_s
     metrics = SimMetrics(
         architecture=architecture.name,
@@ -257,7 +353,7 @@ def _run_simulation(
     if audit is not None:
         audit.finish(metrics, telemetry=telemetry)
     metrics.validate(expected_requests=len(trace.requests))
-    return metrics
+    return [metrics]
 
 
 def run_comparison(

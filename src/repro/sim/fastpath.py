@@ -48,12 +48,16 @@ point)``.  Spans are classified in trace order, because classification
 mutates cache and directory state.  Everything after it is a pure
 function of the classified rows, so classified spans wait until
 ``batch_size`` rows are pending (or the run ends) and are then handled
-once per batch: priced in one pass (``cost_reconstruct``, each span's rows
-under that span's fault snapshot), decoded into journeys and settled into
-telemetry when attached, and folded into metrics (``metrics_fold``).
-Short spans cut by telemetry bins or fault edges therefore pay none of
-those fixed costs per span.  Telemetry bins that close while rows are
-pending get their request-channel values from the batch's running sums
+once per batch and cost model: priced in one pass (``cost_reconstruct``,
+each span's rows under that span's fault snapshot), decoded into journeys
+and settled into telemetry when attached, and folded into that model's
+metrics (``metrics_fold``).  Classification never reads a cost model, so
+one classification serves every model a run prices
+(:func:`repro.sim.engine.run_simulation_costs`): N models cost N prices
+and folds per batch, not N classifications.  Short spans cut by
+telemetry bins or fault edges pay none of those fixed costs per span.
+Telemetry bins that close while rows are pending get their
+request-channel values from the batch's running sums
 (:meth:`repro.obs.telemetry.RunTelemetry.settle`).  Pricing, flags,
 result points, the fold's kind table and the journey decode are all
 derived from the kernel's ``STEPS`` table, so a journey shape is stated
@@ -99,7 +103,7 @@ architecture-independent.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -114,6 +118,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.events import FaultPlan
     from repro.faults.injector import FaultInjector
     from repro.hierarchy.base import Architecture
+    from repro.netmodel.model import CostModel
     from repro.obs.sink import JourneySink
     from repro.obs.telemetry import RunTelemetry
     from repro.traces.records import Trace
@@ -538,9 +543,11 @@ class _Kernel:
             hits += int((points == int(L1)).sum())
         return hits
 
-    def price(self, pending: _Pending) -> _BatchResult:
+    def price(self, pending: _Pending, cost: "CostModel") -> _BatchResult:
         """Scatter the misses over the all-local-hit default; price slots.
 
+        ``cost`` prices the steps: classification never reads a cost
+        model, so one classified batch prices under any number of them.
         One pass over every pending span, each row under its own span's
         fault snapshot: in an active span of a degraded kernel every
         network step costs ``base * latency_mult`` (``origin_fetch`` also
@@ -566,7 +573,6 @@ class _Kernel:
         point = self._point_lut[pattern]
         point = np.where(point == ROW, row_point, point)
         sizes = self.columns.size[idx]
-        cost = self.arch.cost_model
         states = [state for state, _ in pending.states]
         runs = [rows for _, rows in pending.states]
         active = None
@@ -1129,6 +1135,17 @@ def fast_unsupported_reason(architecture: "Architecture") -> str | None:
     return None
 
 
+def check_pricings(costs: list, journey_sink, telemetry) -> None:
+    """Refuse no cost model, and observers on a run of several."""
+    if not costs:
+        raise ValueError("costs must name at least one cost model")
+    if len(costs) > 1 and (journey_sink is not None or telemetry is not None):
+        raise ValueError(
+            "journeys and telemetry record one pricing; a run priced under "
+            f"{len(costs)} cost models cannot attach them"
+        )
+
+
 def run_fast_simulation(
     trace: "Trace",
     architecture: "Architecture",
@@ -1138,8 +1155,10 @@ def run_fast_simulation(
     fault_plan: "FaultPlan | None" = None,
     journey_sink: "JourneySink | None" = None,
     telemetry: "RunTelemetry | None" = None,
+    costs: "Sequence[CostModel]",
     batch_size: int = DEFAULT_BATCH_SIZE,
-) -> SimMetrics:
+    priced_rows: list | None = None,
+) -> "list[SimMetrics]":
     """Columnar twin of :func:`repro.sim.engine.run_simulation`.
 
     Accepts configurations the vectorized kernels cover, including fault
@@ -1147,10 +1166,20 @@ def run_fast_simulation(
     span, quiescent or inside a fault window, runs the kernel on that
     span's fault snapshot.  Audit hooks (and architectures carrying
     pre-attached fault/audit state) still dispatch to the reference loop
-    via the engine.  Returns byte-identical :class:`SimMetrics`.
+    via the engine.  Its :class:`SimMetrics` are byte-identical.
+
+    ``costs`` prices the one classification under each model and returns
+    one :class:`SimMetrics` per model, in order, each equal to a fresh
+    single-model run.  Journeys and telemetry describe one pricing, so
+    they take a single model.  ``priced_rows``, when given,
+    receives ``(trace rows, points, times_ms)`` array triples under the
+    first model, one per priced batch, in trace order -- every processed
+    row, warmup included.
     """
     if batch_size < 1:
         raise ValueError(f"batch size must be positive, got {batch_size}")
+    costs = list(costs)
+    check_pricings(costs, journey_sink, telemetry)
     kernel_cls = kernel_class_for(architecture)
     if kernel_cls is None:
         raise ValueError(fast_unsupported_reason(architecture))
@@ -1168,10 +1197,6 @@ def run_fast_simulation(
         injector = FaultInjector(fault_plan)
         injector.bind(architecture)
     boundary = trace.warmup if warmup_s is None else warmup_s
-    metrics = SimMetrics(
-        architecture=architecture.name,
-        cost_model=architecture.cost_model.name,
-    )
     columns = trace.columns()
     n = len(columns)
     if telemetry is not None:
@@ -1181,16 +1206,20 @@ def run_fast_simulation(
     error = columns.error
     uncachable = (~columns.cacheable) & (~error)
     if include_uncachable:
-        metrics.included_error = int(error.sum())
-        metrics.included_uncachable = int(uncachable.sum())
+        counts = {"included_error": error, "included_uncachable": uncachable}
         process = np.ones(n, dtype=bool)
     else:
-        metrics.skipped_error = int(error.sum())
-        metrics.skipped_uncachable = int(uncachable.sum())
+        counts = {"skipped_error": error, "skipped_uncachable": uncachable}
         process = ~(error | uncachable)
+    counts = {name: int(mask.sum()) for name, mask in counts.items()}
     measured_mask = process & (time_col >= boundary)
     processed_total = int(process.sum())
-    metrics.warmup_requests = processed_total - int(measured_mask.sum())
+    counts["warmup_requests"] = processed_total - int(measured_mask.sum())
+    # One SimMetrics per cost model; the classification is shared.
+    priced = [
+        (cost, SimMetrics(architecture=architecture.name, cost_model=cost.name, **counts))
+        for cost in costs
+    ]
 
     # Batch spans: fixed-size chunks, additionally split at telemetry bin
     # edges so each span's clock advance (and therefore every bin-close
@@ -1216,8 +1245,8 @@ def run_fast_simulation(
     # Host profiler: resolved once per run (detached, every span below is
     # a null context).  Attached runs get one "batch" span per classified
     # span (a "classify" child and hit-miss attributes) and, per flushed
-    # batch, "cost_reconstruct", decode and "metrics_fold" spans beside
-    # them.
+    # batch and cost model, "cost_reconstruct", decode and "metrics_fold"
+    # spans beside them.
     profiler = profiling.active()
 
     def span(name: str, **attrs):
@@ -1226,25 +1255,29 @@ def run_fast_simulation(
         return profiler.span(name, category="fastpath", **attrs)
 
     def flush(pending: _Pending) -> None:
-        """Price, decode and fold the pending spans as one batch."""
-        with span("cost_reconstruct", rows=pending.rows):
-            batch = kernel.price(pending)
-        measured = measured_mask[batch.idx]
-        sizes = sizes_col[batch.idx]
-        if telemetry is not None:
-            with span("telemetry_decode"):
-                _settle(telemetry, batch, measured, sizes)
-        if journey_sink is not None:
-            with span("journey_decode"):
-                first = metrics.measured_requests
-                decoded = np.flatnonzero(measured).tolist()
-                trace_rows = batch.idx.tolist()
-                for offset, (row, result) in enumerate(
-                    zip(decoded, kernel.journeys(batch, decoded))
-                ):
-                    journey_sink.emit(first + offset, requests[trace_rows[row]], result)
-        with span("metrics_fold", rows=pending.rows):
-            _fold_measured(metrics, kernel, batch, measured, sizes)
+        """Price, decode and fold the pending spans once per cost model."""
+        idx = pending.idx[0] if len(pending.idx) == 1 else np.concatenate(pending.idx)
+        measured = measured_mask[idx]
+        sizes = sizes_col[idx]
+        for k, (cost, metrics) in enumerate(priced):
+            with span("cost_reconstruct", rows=pending.rows, cost=cost.name):
+                batch = kernel.price(pending, cost)
+            if priced_rows is not None and k == 0:
+                priced_rows.append((batch.idx, batch.point, batch.time_ms))
+            if telemetry is not None:
+                with span("telemetry_decode"):
+                    _settle(telemetry, batch, measured, sizes)
+            if journey_sink is not None:
+                with span("journey_decode"):
+                    first = metrics.measured_requests
+                    decoded = np.flatnonzero(measured).tolist()
+                    trace_rows = batch.idx.tolist()
+                    for offset, (row, result) in enumerate(
+                        zip(decoded, kernel.journeys(batch, decoded))
+                    ):
+                        journey_sink.emit(first + offset, requests[trace_rows[row]], result)
+            with span("metrics_fold", rows=pending.rows, cost=cost.name):
+                _fold_measured(metrics, kernel, batch, measured, sizes)
 
     # Classified spans wait here until ``batch_size`` rows are pending:
     # pricing, the fold and the telemetry settlement pay their fixed cost
@@ -1280,8 +1313,9 @@ def run_fast_simulation(
     architecture.processed_requests += processed_total
     if telemetry is not None:
         telemetry.finish(trace.duration)
-    metrics.validate(expected_requests=n)
-    return metrics
+    for _cost, metrics in priced:
+        metrics.validate(expected_requests=n)
+    return [metrics for _cost, metrics in priced]
 
 
 def _fold_measured(

@@ -10,10 +10,13 @@ busy.
 Two deliberate design choices keep this tractable and honest:
 
 * **Path/timing decoupling** -- hit/miss decisions come from the normal
-  sequential architecture run, so cache contents are identical to the
-  trace-driven experiments; only the *timing* is recomputed through the
-  queue network.  Queueing cannot change what is cached, only how long
-  accesses take (the same separation the analytic model makes).
+  trace-driven run: the replay consumes the priced rows of the very
+  classification the analytic results price
+  (:func:`repro.sim.engine.run_simulation_costs`), so cache contents are
+  identical to the trace-driven experiments; only the *timing* is
+  recomputed through the queue network.  Queueing cannot change what is
+  cached, only how long accesses take (the same separation the analytic
+  model makes).
 * **Issue-order service** -- servers take requests in global issue order,
   which equals arrival order within any single proxy's request stream and
   approximates it across streams.  This removes the need for a rollback-
@@ -27,9 +30,10 @@ utilization -- the knob the ``queueing_validation`` experiment sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.common.errors import ConfigurationError
-from repro.hierarchy.base import Architecture
+from repro.hierarchy.topology import HierarchyTopology
 from repro.netmodel.model import AccessPoint
 from repro.sim.metrics import LatencyHistogram
 from repro.traces.records import Trace
@@ -91,23 +95,32 @@ class QueueingResult:
 
 
 class QueueingReplay:
-    """Replay an architecture's decided paths through FIFO cache servers.
+    """Replay classified requests' paths through FIFO cache servers.
 
     Args:
-        architecture: A *fresh* architecture; its ``process`` decides each
-            request's path, and its topology names the servers.
+        topology: Names the servers: one per L1 and L2 proxy, plus the L3
+            root.
+        hierarchical: The path shape.  ``True``: a request climbs its own
+            L1, then its L2 and the root as far as the level that served
+            it (the data hierarchy and ICP).  ``False``: its own L1, then
+            at most one peer L1 (the hint architectures).
         compression: Time-compression factor (>= 1): inter-arrival gaps are
             divided by it, raising offered load without altering the trace.
     """
 
-    def __init__(self, architecture: Architecture, compression: float = 1.0) -> None:
+    def __init__(
+        self,
+        topology: HierarchyTopology,
+        *,
+        hierarchical: bool,
+        compression: float = 1.0,
+    ) -> None:
         if compression < 1.0:
             raise ConfigurationError(
                 f"compression must be >= 1, got {compression}"
             )
-        self.architecture = architecture
+        self.hierarchical = hierarchical
         self.compression = compression
-        topology = architecture.topology  # all concrete architectures have one
         self.l1_servers = [FifoServer(f"l1-{i}") for i in range(topology.n_l1)]
         self.l2_servers = [FifoServer(f"l2-{i}") for i in range(topology.n_l2)]
         self.l3_server = FifoServer("l3")
@@ -116,35 +129,50 @@ class QueueingReplay:
     # ------------------------------------------------------------------
     # replay
     # ------------------------------------------------------------------
-    def run(self, trace: Trace) -> QueueingResult:
-        """Decide and replay every cacheable request; returns timing stats."""
+    def run(self, trace: Trace, priced_rows: list) -> QueueingResult:
+        """Replay every priced request; returns timing stats.
+
+        ``priced_rows`` are the ``(trace rows, points, times_ms)`` array
+        triples :func:`repro.sim.engine.run_simulation_costs` fills under
+        its first cost model: every cacheable request in issue order,
+        warmup included, with the point that served it and its idle cost.
+        Requests before the trace's warmup boundary queue but are not
+        measured.
+        """
         result = QueueingResult()
-        start_s = trace.requests[0].time if trace.requests else 0.0
+        columns = trace.columns()
+        start_s = float(columns.time[0]) if len(columns) else 0.0
+        l1_of = self._topology.l1_of_clients(columns.client)
+        paths = self._paths()
         horizon_ms = 0.0
-        for request in trace.requests:
-            if request.error or not request.cacheable:
-                continue
-            outcome = self.architecture.process(request)
-            issue_ms = (request.time - start_s) * 1000.0 / self.compression
-            legs = self._legs(request.client_id, outcome.point, outcome.time_ms)
-            t = issue_ms
-            waited = 0.0
-            for server, network_ms, service_ms in legs:
-                t += network_ms
-                if server is None:
-                    t += service_ms  # origin servers don't queue (outside system)
+        for idx, points, idle in priced_rows:
+            for time_s, l1, point, idle_ms in zip(
+                columns.time[idx].tolist(),
+                l1_of[idx].tolist(),
+                points.tolist(),
+                idle.tolist(),
+            ):
+                issue_ms = (time_s - start_s) * 1000.0 / self.compression
+                # The idle cost's service share is divided across the cache
+                # servers on the path (the analytic model's assumption);
+                # the rest is network time before the first.  The origin,
+                # outside the system, does not queue.
+                servers = paths[l1][point]
+                service_ms = idle_ms * SERVICE_SHARE / len(servers)
+                t = issue_ms + idle_ms * (1 - SERVICE_SHARE)
+                waited = 0.0
+                for server in servers:
+                    before = server.total_wait_ms
+                    t = server.serve(t, service_ms)
+                    waited += server.total_wait_ms - before
+                horizon_ms = max(horizon_ms, t)
+                if time_s < trace.warmup:
                     continue
-                before = server.total_wait_ms
-                t = server.serve(t, service_ms)
-                waited += server.total_wait_ms - before
-            horizon_ms = max(horizon_ms, t)
-            if request.time < trace.warmup:
-                continue
-            response = t - issue_ms
-            result.measured_requests += 1
-            result.total_ms += response
-            result.total_queue_wait_ms += waited
-            result.latency.record(response)
+                response = t - issue_ms
+                result.measured_requests += 1
+                result.total_ms += response
+                result.total_queue_wait_ms += waited
+                result.latency.record(response)
 
         result.utilization_by_level = {
             "l1_max": max(
@@ -160,56 +188,28 @@ class QueueingReplay:
     # ------------------------------------------------------------------
     # path decomposition
     # ------------------------------------------------------------------
-    def _legs(
-        self, client_id: int, point: AccessPoint, idle_ms: float
-    ) -> list[tuple[FifoServer | None, float, float]]:
-        """Split one access into (server, network_ms, service_ms) legs.
+    def _paths(self) -> list[dict[int, list[FifoServer]]]:
+        """The cache servers each L1's requests visit, by serving point."""
+        return [
+            {int(point): self._servers_on_path(l1, point) for point in AccessPoint}
+            for l1 in range(self._topology.n_l1)
+        ]
 
-        The idle cost's service share is divided across the cache nodes on
-        the path (matching the analytic model's assumption); the remainder
-        is network time on the first leg.
-        """
-        l1_index = self._topology.l1_of_client(client_id)
-        servers = self._servers_on_path(l1_index, point)
-        cache_servers = [s for s in servers if s is not None]
-        if cache_servers:
-            per_server = idle_ms * SERVICE_SHARE / len(cache_servers)
-            network = idle_ms * (1 - SERVICE_SHARE)
-        else:
-            per_server = 0.0
-            network = idle_ms
-        legs: list[tuple[FifoServer | None, float, float]] = []
-        for index, server in enumerate(servers):
-            leg_network = network if index == 0 else 0.0
-            service = per_server if server is not None else 0.0
-            legs.append((server, leg_network, service))
-        if not servers:
-            legs.append((None, network, 0.0))
-        return legs
-
-    def _servers_on_path(
-        self, l1_index: int, point: AccessPoint
-    ) -> list[FifoServer | None]:
-        """Which servers a request visits, by architecture shape."""
+    def _servers_on_path(self, l1_index: int, point: AccessPoint) -> list[FifoServer]:
+        """Which cache servers a request visits, by path shape."""
         own_l1 = self.l1_servers[l1_index]
-        if self.architecture.name.startswith("hierarchy") or self.architecture.name == "icp":
-            l2 = self.l2_servers[self._topology.l2_of_l1(l1_index)]
-            path: list[FifoServer | None] = [own_l1]
+        if self.hierarchical:
+            path = [own_l1]
             if point >= AccessPoint.L2:
-                path.append(l2)
+                path.append(self.l2_servers[self._topology.l2_of_l1(l1_index)])
             if point >= AccessPoint.L3:
                 path.append(self.l3_server)
-            if point is AccessPoint.SERVER:
-                path.append(None)
             return path
         # Hint-style architectures: own L1, then at most one peer (modelled
         # as a representative same-distance L1 server), or the origin.
-        if point is AccessPoint.L1:
+        if point in (AccessPoint.L1, AccessPoint.SERVER):
             return [own_l1]
-        if point is AccessPoint.SERVER:
-            return [own_l1, None]
-        peer = self._representative_peer(l1_index, point)
-        return [own_l1, self.l1_servers[peer]]
+        return [own_l1, self.l1_servers[self._representative_peer(l1_index, point)]]
 
     def _representative_peer(self, l1_index: int, point: AccessPoint) -> int:
         """A deterministic peer at the requested distance class."""
@@ -223,20 +223,21 @@ class QueueingReplay:
 
 def compression_for_target_load(
     trace: Trace,
-    architecture: Architecture,
-    target_root_utilization: float,
-) -> float:
-    """Compression factor that drives the L3 root to a target utilization.
+    topology: HierarchyTopology,
+    priced_rows: list,
+    targets: Sequence[float],
+) -> list[float]:
+    """Compression factors that drive the hierarchy's busiest node to
+    each target.
 
-    Runs one uncompressed replay to measure the natural root utilization,
-    then scales: utilization is proportional to compression (service
-    demand is fixed; the horizon shrinks).
+    Runs one uncompressed hierarchical replay of ``priced_rows`` (a data
+    hierarchy's; see :meth:`QueueingReplay.run`) to measure the natural
+    utilization, then scales: utilization is proportional to compression
+    (service demand is fixed; the horizon shrinks).  Returns one factor
+    per target.
     """
-    if not 0.0 < target_root_utilization < 1.0:
+    if not all(0.0 < target < 1.0 for target in targets):
         raise ConfigurationError("target utilization must be in (0, 1)")
-    probe = QueueingReplay(architecture, compression=1.0)
-    natural = probe.run(trace).utilization_by_level
-    busiest = max(natural.values())
-    if busiest <= 0:
-        return 1.0
-    return max(1.0, target_root_utilization / busiest)
+    probe = QueueingReplay(topology, hierarchical=True, compression=1.0)
+    busiest = max(probe.run(trace, priced_rows).utilization_by_level.values())
+    return [1.0 if busiest <= 0 else max(1.0, target / busiest) for target in targets]

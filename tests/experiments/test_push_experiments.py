@@ -14,7 +14,7 @@ from tests.conftest import make_tiny_config
 
 @pytest.fixture(scope="module")
 def systems():
-    return figure10.run_systems(make_tiny_config(), "dec", "testbed")
+    return figure10.run_systems(make_tiny_config(), "dec")["testbed"]
 
 
 class TestFigure10Systems:
@@ -74,9 +74,10 @@ class TestFigure10Systems:
             built.append(weakref.ref(self))
 
         monkeypatch.setattr(Architecture, "__init__", tracking_init)
-        systems = figure10.run_systems(make_tiny_config(), "dec", "testbed")
+        priced = figure10.run_systems(make_tiny_config(), "dec")
         gc.collect()
-        assert len(built) == len(systems)
+        # One build per system, priced under every cost model.
+        assert len(built) == len(priced["testbed"])
         alive = [type(ref()).__name__ for ref in built if ref() is not None]
         assert alive == []
 
@@ -145,3 +146,11 @@ class TestFigure11:
     def test_pushed_bytes_account(self, result):
         for row in result.rows:
             assert row["used_mb"] <= row["pushed_mb"] + 1e-9
+
+    def test_cost_names_resolve_like_cost_model_by_name(self):
+        """Any casing of a known name; a clear error for an unknown one."""
+        config = make_tiny_config()
+        upper = figure11.run(config, cost_name="MAX")
+        assert upper.rows == figure11.run(config, cost_name="max").rows
+        with pytest.raises(ValueError, match="unknown cost model"):
+            figure11.run(config, cost_name="median")

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.obs.telemetry import (
+    DEFAULT_BUCKETS_MS,
     ConvergenceReport,
+    Histogram,
     MetricsRegistry,
     Timeline,
     parse_metric_key,
@@ -28,6 +31,27 @@ class TestMetricKeys:
         name, parsed = parse_metric_key(render_metric_key("repro_x_total", labels))
         assert name == "repro_x_total"
         assert parsed == labels
+
+
+class TestHistogramBuckets:
+    def test_bulk_bucketing_counts_ties_like_observe(self):
+        """A value on a bucket bound counts in that bound's bucket (Prometheus
+        ``le``), in bulk as one at a time: every default bound and one ulp
+        either side.  No response time lands on a bound at small scales,
+        so only this pins the tie."""
+        bounds = np.array(DEFAULT_BUCKETS_MS)
+        values = np.concatenate(
+            [bounds, np.nextafter(bounds, 0.0), np.nextafter(bounds, np.inf), [0.0]]
+        )
+        one_at_a_time = Histogram("repro_h_ms", {})
+        for value in values.tolist():
+            one_at_a_time.observe(value)
+        bulk = Histogram("repro_h_ms", {})
+        bulk._bucket(values)
+        bulk.count = one_at_a_time.count
+        assert bulk.cumulative_buckets() == one_at_a_time.cumulative_buckets()
+        # Each bound's bucket holds the bound itself and the ulp below.
+        assert bulk._bucket_counts[1:-1] == [3] * (len(bounds) - 1)
 
 
 class TestRegistryInvariants:

@@ -149,13 +149,26 @@ def test_paper_experiments_run_on_the_fast_engine():
     """Every simulation of the paper reproduction takes the columnar
     kernels: none falls back to the per-request reference loop."""
     profiler = SpanProfiler()
+    # A fresh cache, as a CLI run starts with: its memo holds no cells
+    # an earlier test's experiments classified.
+    previous = set_trace_cache(TraceCache())
     try:
         with profiling.attached(profiler):
             run_experiments(all_experiments(), make_tiny_config())
     finally:
         profiler.close()
-    names = [span.name for root in profiler.roots for span in root.walk()]
-    # 191 pins the registry's simulation count at this config, so a
-    # module that stops simulating (or bypasses run_simulation) shows.
-    assert names.count("simulate") == 191
+        set_trace_cache(previous)
+    spans = [span for root in profiler.roots for span in root.walk()]
+    names = [span.name for span in spans]
+    # 102 pins the registry's classification count at this config, so a
+    # module that stops simulating (or bypasses the engine) shows, and so
+    # does one that classifies again per cost model: figure8, figure10,
+    # load_sensitivity and queueing_validation price each classification
+    # every way, and table6/figure11 read the cells of figure8/figure10.
+    assert names.count("simulate") == 102
     assert "reference_loop" not in names
+    # Pricings: one per former single-cost run (191), less table6's 18
+    # and figure11's 7 reads, plus queueing_validation's 2 idle pricings
+    # that feed its replay.
+    costs = [len(span.attrs["costs"]) for span in spans if span.name == "simulate"]
+    assert sum(costs) == 168

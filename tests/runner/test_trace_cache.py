@@ -23,6 +23,7 @@ from repro.runner.trace_cache import (
     TraceCache,
     cached_trace,
     get_trace_cache,
+    memoized,
     set_trace_cache,
 )
 from repro.sim.engine import run_simulation
@@ -142,6 +143,27 @@ class TestActiveCache:
             assert get_trace_cache() is replacement
             assert replacement.stats.generations == 1
             assert_traces_identical(trace, regenerate())
+        finally:
+            set_trace_cache(previous)
+
+    def test_memo_lives_as_long_as_the_active_cache(self):
+        """Results computed once per key; a fresh cache, as each run
+        installs, starts empty, and ``clear_memory`` empties it."""
+        calls = []
+
+        def compute():
+            calls.append(1)
+            return len(calls)
+
+        previous = set_trace_cache(TraceCache())
+        try:
+            assert memoized(("k", 1), compute) == 1
+            assert memoized(("k", 1), compute) == 1
+            assert memoized(("k", 2), compute) == 2
+            set_trace_cache(TraceCache())
+            assert memoized(("k", 1), compute) == 3
+            get_trace_cache().clear_memory()
+            assert memoized(("k", 1), compute) == 4
         finally:
             set_trace_cache(previous)
 

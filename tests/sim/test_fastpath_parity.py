@@ -48,7 +48,7 @@ from repro.obs.sink import SamplingJourneySink
 from repro.obs.telemetry import MetricsRegistry, RunTelemetry
 from repro.push.hierarchical import HierarchicalPushOnMiss
 from repro.push.update_push import UpdatePush
-from repro.sim.engine import run_simulation
+from repro.sim.engine import run_simulation, run_simulation_costs
 from repro.sim.fastpath import (
     HintKernel,
     _sequential_sum,
@@ -302,8 +302,9 @@ def test_policy_parity_matrix(kind, policy, tiny_config, dec_trace):
 
 #: Cost models the experiments run besides the testbed model: the Rousskov
 #: bounds (figure8, figure10) and the queueing wrapper (load_sensitivity,
-#: queueing_validation).  None overrides the ``*_ms_batch`` methods, so the
-#: kernels price their batches through the base class's scalar loop.
+#: queueing_validation).  Each overrides the ``*_ms_batch`` methods with
+#: vectorized ones (tests/netmodel/test_batch_pricing.py pins them to the
+#: scalar methods); this matrix holds the kernels' pricing through them.
 COST_MODELS = {
     "min": lambda: cost_model_by_name("min"),
     "max": lambda: cost_model_by_name("max"),
@@ -332,6 +333,118 @@ def test_cost_model_parity_matrix(kind, cost_name, tiny_config, dec_trace):
     )
     assert fast.cost_model == make_cost().name
     assert reference == fast
+
+
+#: The multi-cost axis: the testbed model and every COST_MODELS entry.
+PRICINGS = {"testbed": TestbedCostModel, **COST_MODELS}
+
+
+@pytest.mark.parametrize("fault_name", ["no-fault", "mixed"])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_one_classification_priced_every_way(kind, fault_name, tiny_config, dec_trace):
+    """The cost-independence guard: one classification priced four ways
+    equals four fresh reference runs, byte for byte.
+
+    A cost model only prices a classified journey.  A kernel whose
+    classification read a price (say, fetching from the cheapest holder)
+    would classify differently under each model, and this cell fails.
+    The push accounting, the one classification's own, must equal every
+    reference run's too."""
+    plan = make_plan(fault_name, tiny_config.seed)
+    costs = [make_cost() for make_cost in PRICINGS.values()]
+    architecture, fast = run_simulation_costs(
+        dec_trace,
+        lambda cost: build_architecture(kind, tiny_config.topology, cost=cost),
+        costs,
+        fault_plan=plan,
+        engine="fast",
+    )
+    assert [metrics.cost_model for metrics in fast] == [cost.name for cost in costs]
+    for make_cost, metrics in zip(PRICINGS.values(), fast):
+        fresh = build_architecture(kind, tiny_config.topology, cost=make_cost())
+        reference = run_simulation(dec_trace, fresh, fault_plan=plan, engine="reference")
+        assert reference == metrics
+        if hasattr(fresh, "push_stats"):
+            assert architecture.push_stats.__dict__ == fresh.push_stats.__dict__
+    # Distinct models price the one classification differently.
+    assert len({metrics.total_ms for metrics in fast}) == len(costs)
+
+
+def test_reference_engine_prices_by_fresh_runs(tiny_config, dec_trace):
+    """Without the fast engine, each model gets its own fresh build."""
+    built = []
+
+    def build(cost):
+        built.append(build_architecture("hints-push", tiny_config.topology, cost=cost))
+        return built[-1]
+
+    costs = [make_cost() for make_cost in PRICINGS.values()]
+    architecture, reference = run_simulation_costs(
+        dec_trace, build, costs, engine="reference"
+    )
+    _, fast = run_simulation_costs(dec_trace, build, costs, engine="fast")
+    assert len(built) == len(costs) + 1
+    assert architecture is built[0]
+    assert reference == fast
+
+
+@pytest.mark.parametrize(
+    "observer",
+    [
+        lambda: {"journey_sink": SamplingJourneySink(capacity=None)},
+        lambda: {"telemetry": RunTelemetry(MetricsRegistry(), bin_s=3600.0)},
+    ],
+    ids=["journey_sink", "telemetry"],
+)
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+def test_multi_cost_run_refuses_observers(observer, engine, tiny_config, dec_trace):
+    """Journeys and telemetry record one pricing: with two models, refused
+    before anything is built; with one, attached as usual."""
+    built = []
+
+    def build(cost):
+        built.append(build_architecture("hints", tiny_config.topology, cost=cost))
+        return built[-1]
+
+    costs = [TestbedCostModel(), cost_model_by_name("max")]
+    with pytest.raises(ValueError, match="one pricing"):
+        run_simulation_costs(dec_trace, build, costs, engine=engine, **observer())
+    assert built == []
+    _, (metrics,) = run_simulation_costs(
+        dec_trace, build, costs[:1], engine=engine, **observer()
+    )
+    assert metrics == run_simulation(
+        dec_trace, build_architecture("hints", tiny_config.topology), engine="reference"
+    )
+
+
+def test_multi_cost_run_refuses_bad_arguments(tiny_config, dec_trace):
+    def build(cost):
+        return build_architecture("hints", tiny_config.topology, cost=cost)
+
+    with pytest.raises(ValueError, match="at least one"):
+        run_simulation_costs(dec_trace, build, [])
+    with pytest.raises(ValueError, match="priced by cost"):
+        run_simulation_costs(
+            dec_trace, lambda cost: build(TestbedCostModel()), [TestbedCostModel()]
+        )
+    # The reference engine builds once per cost: every build is checked,
+    # for its pricing and for being fresh, not only the first.
+    costs = [TestbedCostModel(), cost_model_by_name("max")]
+    fixed = build(costs[0])
+    with pytest.raises(ValueError, match="priced by cost"):
+        run_simulation_costs(dec_trace, lambda cost: fixed, costs, engine="reference")
+
+    def repriced(cost):
+        fixed.cost_model = cost
+        return fixed
+
+    with pytest.raises(ValueError, match="fresh"):
+        run_simulation_costs(dec_trace, repriced, costs, engine="reference")
+    with pytest.raises(ValueError, match="fast engine"):
+        run_simulation_costs(
+            dec_trace, build, [TestbedCostModel()], engine="reference", priced_rows=[]
+        )
 
 
 def test_policy_cells_actually_evict(tiny_config, dec_trace):
@@ -460,10 +573,12 @@ def test_batch_size_invariance_pinned(kind, batch_size, tiny_config, dec_trace):
         telemetry=telemetry["reference"],
         engine="reference",
     )
-    fast = run_fast_simulation(
+    arch = build_architecture(kind, tiny_config.topology)
+    (fast,) = run_fast_simulation(
         dec_trace,
-        build_architecture(kind, tiny_config.topology),
+        arch,
         telemetry=telemetry["fast"],
+        costs=[arch.cost_model],
         batch_size=batch_size,
     )
     assert reference == fast
@@ -498,10 +613,12 @@ def test_fault_edges_on_batch_boundaries_pinned(
         fault_plan=plan,
         engine="reference",
     )
-    fast = run_fast_simulation(
+    arch = build_architecture(kind, tiny_config.topology)
+    (fast,) = run_fast_simulation(
         dec_trace,
-        build_architecture(kind, tiny_config.topology),
+        arch,
         fault_plan=plan,
+        costs=[arch.cost_model],
         batch_size=batch_size,
     )
     assert reference == fast
@@ -535,10 +652,9 @@ def test_batch_size_invariance_hypothesis(batch_size):
             build_architecture("hierarchy", cache["topology"]),
             engine="reference",
         )
-    fast = run_fast_simulation(
-        cache["trace"],
-        build_architecture("hierarchy", cache["topology"]),
-        batch_size=batch_size,
+    arch = build_architecture("hierarchy", cache["topology"])
+    (fast,) = run_fast_simulation(
+        cache["trace"], arch, costs=[arch.cost_model], batch_size=batch_size
     )
     assert fast == cache["reference"]
 
@@ -587,10 +703,12 @@ def test_fault_boundary_invariance_hypothesis(
             fault_plan=plan,
             engine="reference",
         )
-    fast = run_fast_simulation(
+    arch = build_architecture("hints", cache["topology"])
+    (fast,) = run_fast_simulation(
         trace,
-        build_architecture("hints", cache["topology"]),
+        arch,
         fault_plan=plan,
+        costs=[arch.cost_model],
         batch_size=batch_size,
     )
     assert fast == cache[key]
@@ -687,13 +805,10 @@ def test_fast_rejects_attached_fault_or_audit_state(tiny_config, dec_trace):
     arch = build_architecture("hierarchy", tiny_config.topology)
     arch.faults = object()
     with pytest.raises(ValueError, match="healthy"):
-        run_fast_simulation(dec_trace, arch)
+        run_fast_simulation(dec_trace, arch, costs=[arch.cost_model])
 
 
 def test_bad_batch_size_rejected(tiny_config, dec_trace):
     with pytest.raises(ValueError, match="batch size"):
-        run_fast_simulation(
-            dec_trace,
-            build_architecture("hierarchy", tiny_config.topology),
-            batch_size=0,
-        )
+        arch = build_architecture("hierarchy", tiny_config.topology)
+        run_fast_simulation(dec_trace, arch, costs=[arch.cost_model], batch_size=0)

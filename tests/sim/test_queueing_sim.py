@@ -9,6 +9,7 @@ from repro.hierarchy.data_hierarchy import DataHierarchy
 from repro.hierarchy.hint_hierarchy import HintHierarchy
 from repro.hierarchy.topology import HierarchyTopology
 from repro.netmodel.testbed import TestbedCostModel
+from repro.sim.engine import run_simulation_costs
 from repro.sim.queueing_sim import (
     FifoServer,
     QueueingReplay,
@@ -17,6 +18,15 @@ from repro.sim.queueing_sim import (
 from repro.traces.records import Request, Trace
 
 TOPOLOGY = HierarchyTopology(clients_per_l1=1, l1_per_l2=2, n_l2=2)
+
+
+def priced(trace, make=DataHierarchy):
+    """The idle-testbed priced rows of one classification of ``trace``."""
+    rows = []
+    run_simulation_costs(
+        trace, lambda cost: make(TOPOLOGY, cost), [TestbedCostModel()], priced_rows=rows
+    )
+    return rows
 
 
 def make_trace(n_requests=60, gap_s=1.0):
@@ -64,19 +74,20 @@ class TestFifoServer:
 class TestQueueingReplay:
     def test_uncompressed_sparse_trace_has_no_queueing(self):
         # 1 request/s with ~hundreds of ms of service: almost no overlap.
-        replay = QueueingReplay(
-            DataHierarchy(TOPOLOGY, TestbedCostModel()), compression=1.0
-        )
-        result = replay.run(make_trace(gap_s=10.0))
+        trace = make_trace(gap_s=10.0)
+        replay = QueueingReplay(TOPOLOGY, hierarchical=True, compression=1.0)
+        result = replay.run(trace, priced(trace))
         assert result.mean_queue_wait_ms < 1.0
 
     def test_compression_creates_queueing(self):
-        light = QueueingReplay(
-            DataHierarchy(TOPOLOGY, TestbedCostModel()), compression=1.0
-        ).run(make_trace(gap_s=1.0))
-        heavy = QueueingReplay(
-            DataHierarchy(TOPOLOGY, TestbedCostModel()), compression=20.0
-        ).run(make_trace(gap_s=1.0))
+        trace = make_trace(gap_s=1.0)
+        rows = priced(trace)
+        light = QueueingReplay(TOPOLOGY, hierarchical=True, compression=1.0).run(
+            trace, rows
+        )
+        heavy = QueueingReplay(TOPOLOGY, hierarchical=True, compression=20.0).run(
+            trace, rows
+        )
         assert heavy.mean_queue_wait_ms > light.mean_queue_wait_ms
         assert heavy.mean_response_ms > light.mean_response_ms
 
@@ -88,26 +99,22 @@ class TestQueueingReplay:
         idle = run_simulation(
             trace, DataHierarchy(TOPOLOGY, TestbedCostModel()), warmup_s=0.0
         )
-        replay = QueueingReplay(
-            DataHierarchy(TOPOLOGY, TestbedCostModel()), compression=10.0
-        )
-        queued = replay.run(trace)
+        replay = QueueingReplay(TOPOLOGY, hierarchical=True, compression=10.0)
+        queued = replay.run(trace, priced(trace))
         assert queued.mean_response_ms >= idle.mean_response_ms - 1e-6
 
     def test_utilizations_reported_per_level(self):
-        replay = QueueingReplay(
-            DataHierarchy(TOPOLOGY, TestbedCostModel()), compression=5.0
-        )
-        result = replay.run(make_trace())
+        trace = make_trace()
+        replay = QueueingReplay(TOPOLOGY, hierarchical=True, compression=5.0)
+        result = replay.run(trace, priced(trace))
         assert set(result.utilization_by_level) == {"l1_max", "l2_max", "l3"}
         for value in result.utilization_by_level.values():
             assert 0.0 <= value <= 1.0
 
     def test_hint_paths_touch_at_most_two_cache_servers(self):
-        replay = QueueingReplay(
-            HintHierarchy(TOPOLOGY, TestbedCostModel()), compression=1.0
-        )
-        result = replay.run(make_trace())
+        trace = make_trace()
+        replay = QueueingReplay(TOPOLOGY, hierarchical=False, compression=1.0)
+        result = replay.run(trace, priced(trace, HintHierarchy))
         # The L2/L3 servers never serve hint-architecture requests.
         assert all(s.served == 0 for s in replay.l2_servers)
         assert replay.l3_server.served == 0
@@ -115,27 +122,49 @@ class TestQueueingReplay:
 
     def test_rejects_decompression(self):
         with pytest.raises(ConfigurationError):
-            QueueingReplay(
-                DataHierarchy(TOPOLOGY, TestbedCostModel()), compression=0.5
-            )
+            QueueingReplay(TOPOLOGY, hierarchical=True, compression=0.5)
+
+    @pytest.mark.parametrize("make", [DataHierarchy, HintHierarchy])
+    def test_rows_are_the_reference_outcomes(self, make, dec_trace, tiny_config):
+        """The replay's input, row for row, is what the reference
+        architecture's ``process`` decides and charges: every cacheable
+        request in issue order, warmup included."""
+        rows = []
+        run_simulation_costs(
+            dec_trace,
+            lambda cost: make(tiny_config.topology, cost),
+            [TestbedCostModel()],
+            priced_rows=rows,
+        )
+        architecture = make(tiny_config.topology, TestbedCostModel())
+        expected = [
+            (index, architecture.process(request))
+            for index, request in enumerate(dec_trace.requests)
+            if request.cacheable and not request.error
+        ]
+        replayed = [
+            (index, point, time_ms)
+            for idx, points, times in rows
+            for index, point, time_ms in zip(idx.tolist(), points.tolist(), times.tolist())
+        ]
+        assert any(request.time < dec_trace.warmup for request in dec_trace.requests)
+        assert replayed == [
+            (index, int(outcome.point), outcome.time_ms) for index, outcome in expected
+        ]
 
 
 class TestCalibration:
     def test_calibrated_load_is_close_to_target(self):
         trace = make_trace(n_requests=200, gap_s=2.0)
+        rows = priced(trace)
         target = 0.5
-        compression = compression_for_target_load(
-            trace, DataHierarchy(TOPOLOGY, TestbedCostModel()), target
-        )
-        replay = QueueingReplay(
-            DataHierarchy(TOPOLOGY, TestbedCostModel()), compression=compression
-        )
-        result = replay.run(trace)
+        (compression,) = compression_for_target_load(trace, TOPOLOGY, rows, [target])
+        replay = QueueingReplay(TOPOLOGY, hierarchical=True, compression=compression)
+        result = replay.run(trace, rows)
         busiest = max(result.utilization_by_level.values())
         assert busiest == pytest.approx(target, rel=0.25)
 
     def test_rejects_bad_target(self):
+        trace = make_trace()
         with pytest.raises(ConfigurationError):
-            compression_for_target_load(
-                make_trace(), DataHierarchy(TOPOLOGY, TestbedCostModel()), 1.5
-            )
+            compression_for_target_load(trace, TOPOLOGY, priced(trace), [0.5, 1.5])
