@@ -4,8 +4,10 @@ The prototype stores location hints "in a simple array managed as a k-way
 associative cache" indexed by the URL hash (paper section 3.2.1): fixed
 record count, fixed record size, one "disk access" per lookup when cold.
 This module provides the associative structure over arbitrary Python
-values; :mod:`repro.hints.hintcache` specializes it to 16-byte hint
-records, and :mod:`repro.hints.storage` maps the same layout onto an mmap.
+values, with true per-set LRU.  The prototype's own hint cache,
+:mod:`repro.hints.hintcache`, does not build on it: it lays the same
+geometry out as a packed array of 16-byte records (rotating a set's
+slots to order them), which :mod:`repro.hints.storage` maps onto an mmap.
 
 A cache with ``n_sets`` sets and associativity ``k`` holds at most
 ``n_sets * k`` entries.  Keys hash to a set by ``key % n_sets``; within a

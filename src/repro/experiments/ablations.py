@@ -331,7 +331,7 @@ def run_plaxton_load(
 
     fixed_interior_max = max(
         fixed.messages_at(node)
-        for node in range(len(fixed.leaves), len(fixed._parent_vector()))
+        for node in range(len(fixed.leaves), len(fixed.parent_vector()))
     )
     rows = [
         {

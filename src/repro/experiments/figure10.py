@@ -20,7 +20,7 @@ on response time (but is the most efficient pusher -- Figure 11).
 from __future__ import annotations
 
 from repro.experiments.base import ExperimentResult, resolve_config, trace_for
-from repro.hierarchy.data_hierarchy import DataHierarchy
+from repro.experiments.figure8 import COST_MODELS, classified
 from repro.hierarchy.hint_hierarchy import HintHierarchy
 from repro.netmodel import cost_model_by_name
 from repro.push.base import PushStats
@@ -31,23 +31,19 @@ from repro.sim.config import ExperimentConfig
 from repro.sim.engine import run_simulation_costs
 from repro.sim.metrics import SimMetrics
 
-COST_MODELS = ("testbed", "min", "max")
 PUSH_MODES = ("push-1", "push-half", "push-all")
 
 #: Per cost model name, each system's metrics and push accounting.
 Systems = dict[str, dict[str, tuple[SimMetrics, PushStats | None]]]
 
 
-def _builders(config: ExperimentConfig) -> list:
-    """Each system as ``build(cost)``: a fresh architecture and policy."""
+#: The no-push base cases: Figure 8's space-constrained cells of the same
+#: names (its hierarchy and hints are built with these capacities).
+BASE_CASES = ("hierarchy", "hints")
 
-    def hierarchy(cost):
-        return DataHierarchy(
-            config.topology, cost,
-            l1_bytes=config.l1_cache_bytes,
-            l2_bytes=config.l1_cache_bytes,
-            l3_bytes=config.l1_cache_bytes,
-        )
+
+def _builders(config: ExperimentConfig) -> list:
+    """Each push system as ``build(cost)``: a fresh architecture and policy."""
 
     def hints(policy):
         return lambda cost: HintHierarchy(
@@ -69,8 +65,6 @@ def _builders(config: ExperimentConfig) -> list:
         return lambda: HierarchicalPushOnMiss(config.topology, mode, seed=config.seed)
 
     return [
-        hierarchy,
-        hints(lambda: None),
         hints(UpdatePush),
         *(hints(push(mode)) for mode in PUSH_MODES),
         ideal,
@@ -82,13 +76,18 @@ def run_systems(config: ExperimentConfig, profile_name: str) -> Systems:
 
     Returns ``{cost name: {system name: (metrics, push stats)}}``.  The
     push accounting (``None`` for the data hierarchy) belongs to the one
-    classification, so every cost model shares it.  No architecture
-    outlives the call: their caches dwarf everything Figures 10 and 11
-    read from them.
+    classification, so every cost model shares it.  The base cases come
+    from Figure 8's run-scoped cells (classified here if Figure 8 has not
+    run).  No architecture outlives the call: their caches dwarf
+    everything Figures 10 and 11 read from them.
     """
+    systems: Systems = {name: {} for name in COST_MODELS}
+    for key in BASE_CASES:
+        metrics, push_stats = classified(config, profile_name, "constrained", key)
+        for name, priced in zip(COST_MODELS, metrics):
+            systems[name][key] = (priced, push_stats)
     trace = trace_for(config, profile_name)
     costs = [cost_model_by_name(name) for name in COST_MODELS]
-    systems: Systems = {name: {} for name in COST_MODELS}
     for build in _builders(config):
         architecture, metrics = run_simulation_costs(trace, build, costs)
         push_stats = getattr(architecture, "push_stats", None)

@@ -25,6 +25,7 @@ from repro.hierarchy.data_hierarchy import DataHierarchy
 from repro.hierarchy.directory_arch import CentralizedDirectoryArchitecture
 from repro.hierarchy.hint_hierarchy import HintHierarchy
 from repro.netmodel import cost_model_by_name
+from repro.push.base import PushStats
 from repro.runner.trace_cache import memoized
 from repro.sim.config import ExperimentConfig
 from repro.sim.engine import run_simulation_costs
@@ -66,21 +67,33 @@ def builders_for(config: ExperimentConfig, disk: str) -> dict:
     }
 
 
+def classified(
+    config: ExperimentConfig, profile_name: str, disk: str, key: str
+) -> tuple[list[SimMetrics], PushStats | None]:
+    """One architecture of one Figure 8 cell, classified once.
+
+    Returns one metrics per COST_MODELS and the architecture's push
+    accounting (``None`` for one without).  Memoized for the run, so
+    Table 6 reads the infinite-disk cells, and Figure 10 its DEC
+    space-constrained hierarchy and hints, instead of re-running them.
+    """
+
+    def classify() -> tuple[list[SimMetrics], PushStats | None]:
+        trace = trace_for(config, profile_name)
+        costs = [cost_model_by_name(name) for name in COST_MODELS]
+        architecture, metrics = run_simulation_costs(
+            trace, builders_for(config, disk)[key], costs
+        )
+        return metrics, getattr(architecture, "push_stats", None)
+
+    return memoized(("figure8", config, profile_name, disk, key), classify)
+
+
 def cell(
     config: ExperimentConfig, profile_name: str, disk: str, key: str
 ) -> list[SimMetrics]:
-    """One architecture of one Figure 8 cell, one metrics per COST_MODELS.
-
-    One classification priced under every model.  Memoized for the run,
-    so Table 6 reads the infinite-disk cells instead of re-running them.
-    """
-
-    def classify() -> list[SimMetrics]:
-        trace = trace_for(config, profile_name)
-        costs = [cost_model_by_name(name) for name in COST_MODELS]
-        return run_simulation_costs(trace, builders_for(config, disk)[key], costs)[1]
-
-    return memoized(("figure8", config, profile_name, disk, key), classify)
+    """One architecture of one Figure 8 cell, one metrics per COST_MODELS."""
+    return classified(config, profile_name, disk, key)[0]
 
 
 def run(config: ExperimentConfig | None = None) -> ExperimentResult:

@@ -74,7 +74,7 @@ class MessageLevelHintHierarchy(Architecture):
             branching=topology.l1_per_l2, leaves=topology.n_l1
         )
         self.cluster = HintCluster(
-            parents=tree._parent_vector(),
+            parents=tree.parent_vector(),
             hint_capacity_bytes=hint_capacity_bytes,
             link_latency_s=link_latency_s,
             max_period_s=max_period_s,

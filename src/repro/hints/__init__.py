@@ -15,6 +15,9 @@ Layers, prototype-faithful to simulation-level:
 * :mod:`repro.hints.hintcache` -- 4-way set-associative hint cache over a
   packed byte array (exactly the prototype's layout).
 * :mod:`repro.hints.storage` -- the same layout over an mmap'ed file.
+* :mod:`repro.hints.node` / :mod:`repro.hints.cluster` -- per-proxy hint
+  modules and the event-driven cluster that carries their updates as
+  packed 20-byte records over the metadata tree.
 * :mod:`repro.hints.directory` -- the simulation-level hint view with
   capacity limits (Figure 5) and propagation delay (Figure 6).
 * :mod:`repro.hints.propagation` -- the hierarchical update-filtering

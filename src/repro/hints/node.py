@@ -5,28 +5,27 @@ prototype commands -- *inform*, *invalidate*, *find nearest* -- plus
 batch application for updates received from neighbors.  It knows nothing
 about the metadata topology; :mod:`repro.hints.cluster` wires nodes
 together and moves the batches.
+
+Updates stay in the 20-byte wire layout (:mod:`repro.hints.wire`) from
+end to end: a node packs each update it originates once, validating its
+URL hash there, and applies a received batch record by record as plain
+integers, queueing the batch itself for onward forwarding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.hints.hintcache import HintCache
-from repro.hints.records import MachineId
-from repro.hints.wire import HintAction, HintUpdate
+from repro.hints.records import MachineId, check_url_hash
+from repro.hints.wire import (
+    UPDATE_RECORD_BYTES,
+    HintAction,
+    HintUpdate,
+    iter_updates,
+    pack_update,
+)
 
-
-@dataclass
-class PendingUpdate:
-    """An update queued for forwarding, with its arrival edge.
-
-    ``exclude_neighbor`` is the tree neighbor the update arrived from (or
-    ``None`` for locally-originated updates); forwarding skips that edge,
-    which on a tree guarantees exactly-once delivery everywhere.
-    """
-
-    update: HintUpdate
-    exclude_neighbor: int | None = None
+_INFORM = int(HintAction.INFORM)
+_INVALIDATE = int(HintAction.INVALIDATE)
 
 
 class HintNode:
@@ -36,6 +35,12 @@ class HintNode:
         index: This node's index in the cluster.
         hint_capacity_bytes: Size of the local hint cache.
         associativity: Hint-cache associativity (4 in the prototype).
+
+    The outbox holds ``(records, exclude_neighbor)`` tuples: packed
+    20-byte records, and the tree neighbor they arrived from (``None`` for
+    an update this node originated).  Forwarding skips that edge, which on
+    a tree guarantees exactly-once delivery everywhere.  A received batch
+    is queued whole, so one entry may hold several records.
     """
 
     def __init__(
@@ -44,7 +49,7 @@ class HintNode:
         self.index = index
         self.machine = MachineId.for_node(index)
         self.cache = HintCache(hint_capacity_bytes, associativity=associativity)
-        self.outbox: list[PendingUpdate] = []
+        self.outbox: list[tuple[bytes, int | None]] = []
         #: url_hash -> simulation time this node first learned a location.
         self.first_learned: dict[int, float] = {}
         self.updates_applied = 0
@@ -55,55 +60,64 @@ class HintNode:
     # ------------------------------------------------------------------
     def inform(self, url_hash: int, now: float) -> None:
         """A copy of the object is now stored locally; advertise it."""
-        self.cache.inform(url_hash, self.machine)
+        self._originate(_INFORM, url_hash)
+        self.cache.inform_raw(url_hash, self.machine.address, self.machine.port)
         self.first_learned.setdefault(url_hash, now)
-        self.updates_originated += 1
-        self.outbox.append(
-            PendingUpdate(
-                HintUpdate(
-                    action=HintAction.INFORM,
-                    object_id=url_hash,
-                    machine=self.machine,
-                )
-            )
-        )
 
     def invalidate(self, url_hash: int, now: float) -> None:
         """The local copy is gone; advertise the non-presence."""
+        self._originate(_INVALIDATE, url_hash)
         self.cache.invalidate(url_hash)
-        self.updates_originated += 1
-        self.outbox.append(
-            PendingUpdate(
-                HintUpdate(
-                    action=HintAction.INVALIDATE,
-                    object_id=url_hash,
-                    machine=self.machine,
-                )
-            )
-        )
 
     def find_nearest(self, url_hash: int) -> MachineId | None:
         """Report the nearest known copy, purely from local state."""
         return self.cache.find_nearest(url_hash)
 
+    def readvertise(self, now: float) -> None:
+        """Re-queue an inform for every hint that names this node.
+
+        Walks :attr:`first_learned` in insertion order; each check is a
+        counted, promoting find, as a *find nearest* would be.
+        """
+        holder = (self.machine.address, self.machine.port)
+        find = self.cache.find_nearest_raw
+        for url_hash in list(self.first_learned):
+            if find(url_hash) == holder:
+                self.inform(url_hash, now)
+
+    def _originate(self, action: int, url_hash: int) -> None:
+        check_url_hash(url_hash)
+        self.updates_originated += 1
+        record = pack_update(action, url_hash, self.machine.address, self.machine.port)
+        self.outbox.append((record, None))
+
     # ------------------------------------------------------------------
     # neighbor traffic
     # ------------------------------------------------------------------
+    def apply_batch(self, blob: bytes, from_neighbor: int, now: float) -> None:
+        """Apply a received batch of packed records; queue it onward.
+
+        An inform stores the hint.  An invalidate runs a counted,
+        promoting find and drops the hint only if it names the machine
+        that lost its copy: a hint naming a different holder is still
+        valid.
+        """
+        cache = self.cache
+        first_learned = self.first_learned
+        for action, object_id, address, port in iter_updates(blob):
+            if action == _INFORM:
+                cache.inform_raw(object_id, address, port)
+                first_learned.setdefault(object_id, now)
+            elif cache.find_nearest_raw(object_id) == (address, port):
+                cache.invalidate(object_id)
+        self.updates_applied += len(blob) // UPDATE_RECORD_BYTES
+        self.outbox.append((blob, from_neighbor))
+
     def apply_update(self, update: HintUpdate, from_neighbor: int, now: float) -> None:
         """Apply one received update and queue it for onward forwarding."""
-        self.updates_applied += 1
-        if update.action is HintAction.INFORM:
-            self.cache.inform(update.object_id, update.machine)
-            self.first_learned.setdefault(update.object_id, now)
-        else:
-            existing = self.cache.find_nearest(update.object_id)
-            # Only drop the hint if it points at the machine that lost its
-            # copy; a hint naming a different holder is still valid.
-            if existing is not None and existing == update.machine:
-                self.cache.invalidate(update.object_id)
-        self.outbox.append(PendingUpdate(update, exclude_neighbor=from_neighbor))
+        self.apply_batch(update.pack(), from_neighbor, now)
 
-    def drain_outbox(self) -> list[PendingUpdate]:
+    def drain_outbox(self) -> list[tuple[bytes, int | None]]:
         """Take every queued update (the flush step)."""
         pending, self.outbox = self.outbox, []
         return pending

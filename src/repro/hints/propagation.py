@@ -132,10 +132,6 @@ class HintPropagationTree:
         """
         return [node.parent for node in self._nodes]
 
-    def _parent_vector(self) -> list[int | None]:
-        """Deprecated private alias of :meth:`parent_vector`."""
-        return self.parent_vector()
-
     # ------------------------------------------------------------------
     # propagation internals
     # ------------------------------------------------------------------

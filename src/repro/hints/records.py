@@ -23,6 +23,14 @@ _RECORD_STRUCT = struct.Struct("<QLL")
 INVALID_HASH = 0
 
 
+def check_url_hash(url_hash: int) -> None:
+    """Raise ``ValueError`` unless ``url_hash`` can name a stored hint."""
+    if not 0 <= url_hash < 2**64:
+        raise ValueError(f"url_hash must fit in 64 bits, got {url_hash}")
+    if url_hash == INVALID_HASH:
+        raise ValueError("url_hash 0 is reserved for empty slots")
+
+
 @dataclass(frozen=True, order=True)
 class MachineId:
     """An 8-byte machine identifier: IPv4 address + port.
@@ -68,10 +76,7 @@ class HintRecord:
     machine: MachineId
 
     def __post_init__(self) -> None:
-        if not 0 <= self.url_hash < 2**64:
-            raise ValueError(f"url_hash must fit in 64 bits, got {self.url_hash}")
-        if self.url_hash == INVALID_HASH:
-            raise ValueError("url_hash 0 is reserved for empty slots")
+        check_url_hash(self.url_hash)
 
     def pack(self) -> bytes:
         """Serialize to the 16-byte on-disk / on-wire layout."""

@@ -13,6 +13,13 @@ This module implements exactly that: a 20-byte record, batch
 encode/decode, and an :class:`UpdateBatcher` with the randomized period.
 The bandwidth arithmetic the paper does (1.9 updates/s x 20 B = 38 B/s at
 the busiest hint cache) is reproduced by ``benchmarks/test_bench_table5``.
+
+It owns the record layout.  :func:`pack_update` and :func:`iter_updates`
+speak it in plain integers -- ``(action, object_id, address, port)`` --
+for the live cluster, whose records stay packed from the node that
+originates them to every node that applies them;
+:class:`HintUpdate` and :func:`decode_updates` are the validated object
+form for input from outside (a POST body).
 """
 
 from __future__ import annotations
@@ -68,20 +75,34 @@ class HintUpdate:
         )
 
 
+#: ``pack_update(action, object_id, address, port)``: one 20-byte record
+#: from plain integers, unvalidated.
+pack_update = _UPDATE_STRUCT.pack
+
+#: ``iter_updates(blob)``: the ``(action, object_id, address, port)`` of
+#: each record in a batch, as plain integers.  Checks only that the batch
+#: is whole records; the fields are whatever was packed.
+iter_updates = _UPDATE_STRUCT.iter_unpack
+
+
 def encode_updates(updates: list[HintUpdate]) -> bytes:
     """Pack a batch of updates into one POST body."""
     return b"".join(u.pack() for u in updates)
 
 
 def decode_updates(blob: bytes) -> list[HintUpdate]:
-    """Unpack a POST body into its updates."""
+    """Unpack a POST body into its updates.
+
+    Raises ``ValueError`` for a ragged body, an unknown action or a port
+    that does not fit in 16 bits.
+    """
     if len(blob) % UPDATE_RECORD_BYTES != 0:
         raise ValueError(
             f"batch length {len(blob)} is not a multiple of {UPDATE_RECORD_BYTES}"
         )
     return [
-        HintUpdate.unpack(blob[offset : offset + UPDATE_RECORD_BYTES])
-        for offset in range(0, len(blob), UPDATE_RECORD_BYTES)
+        HintUpdate(HintAction(action), object_id, MachineId(address, port))
+        for action, object_id, address, port in iter_updates(blob)
     ]
 
 

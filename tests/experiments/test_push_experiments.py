@@ -9,6 +9,7 @@ import pytest
 
 from repro.experiments import figure10, figure11
 from repro.hierarchy.base import Architecture
+from repro.runner.trace_cache import TraceCache, set_trace_cache
 from tests.conftest import make_tiny_config
 
 
@@ -74,7 +75,13 @@ class TestFigure10Systems:
             built.append(weakref.ref(self))
 
         monkeypatch.setattr(Architecture, "__init__", tracking_init)
-        priced = figure10.run_systems(make_tiny_config(), "dec")
+        # A fresh cache, as a CLI run starts with: the base cases are
+        # figure8's memoized cells, which an earlier test may have built.
+        previous = set_trace_cache(TraceCache())
+        try:
+            priced = figure10.run_systems(make_tiny_config(), "dec")
+        finally:
+            set_trace_cache(previous)
         gc.collect()
         # One build per system, priced under every cost model.
         assert len(built) == len(priced["testbed"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import TopologyError
-from repro.hints.cluster import HintCluster
+from repro.hints.cluster import JITTER_BLOCK, HintCluster
 from repro.hints.wire import UPDATE_RECORD_BYTES
 
 
@@ -80,6 +80,32 @@ class TestPropagation:
         cluster = make_cluster()
         cluster.run_until(100.0)
         assert cluster.batches_sent == 0
+
+
+class TestFlushJitter:
+    def test_a_block_draw_is_the_scalar_draws(self):
+        """What drawing flush periods in blocks rests on: one vector draw
+        yields the scalar draws' doubles and leaves the same state."""
+        block, scalar = np.random.default_rng(9), np.random.default_rng(9)
+        drawn = block.uniform(0.0, 60.0, JITTER_BLOCK).tolist()
+        assert drawn == [scalar.uniform(0.0, 60.0) for _ in range(JITTER_BLOCK)]
+        assert block.bit_generator.state == scalar.bit_generator.state
+
+    def test_flush_periods_follow_the_scalar_stream(self):
+        """Across a block boundary, the n-th scheduled flush lands at
+        ``now`` plus the n-th scalar ``uniform(0, max_period_s)``."""
+        leaves = JITTER_BLOCK + 7
+        cluster = HintCluster(
+            parents=[None] + [0] * leaves, hint_capacity_bytes=64,
+            max_period_s=7.5, seed=5,
+        )
+        for leaf in range(1, leaves + 1):
+            cluster.local_inform(leaf, url_hash=leaf, now=2.0)
+        flushes = sorted(cluster._events, key=lambda event: event[1])
+        rng = np.random.default_rng(5)
+        assert [event[0] for event in flushes] == [
+            2.0 + rng.uniform(0.0, 7.5) for _ in range(leaves)
+        ]
 
 
 class TestConstruction:

@@ -13,15 +13,17 @@ class TestPrototypeCommands:
         node.inform(url_hash=42, now=1.0)
         assert node.find_nearest(42).node == 3
         assert len(node.outbox) == 1
-        assert node.outbox[0].update.action is HintAction.INFORM
-        assert node.outbox[0].exclude_neighbor is None
+        record, exclude_neighbor = node.outbox[0]
+        assert HintUpdate.unpack(record).action is HintAction.INFORM
+        assert exclude_neighbor is None
 
     def test_invalidate_drops_and_queues(self):
         node = HintNode(index=3, hint_capacity_bytes=1024)
         node.inform(42, now=1.0)
         node.invalidate(42, now=2.0)
         assert node.find_nearest(42) is None
-        assert node.outbox[1].update.action is HintAction.INVALIDATE
+        record, _exclude_neighbor = node.outbox[1]
+        assert HintUpdate.unpack(record).action is HintAction.INVALIDATE
 
     def test_first_learned_timestamps(self):
         node = HintNode(index=0, hint_capacity_bytes=1024)
@@ -40,7 +42,8 @@ class TestReceivedUpdates:
         assert node.find_nearest(42).node == 9
         assert node.first_learned[42] == 3.0
         # Queued for forwarding, excluding the arrival edge.
-        assert node.outbox[0].exclude_neighbor == 1
+        _record, exclude_neighbor = node.outbox[0]
+        assert exclude_neighbor == 1
 
     def test_apply_invalidate_only_hits_matching_machine(self):
         node = HintNode(index=0, hint_capacity_bytes=1024)

@@ -26,8 +26,9 @@ from tests.conftest import make_tiny_config
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
-#: Experiments pinned: the paper's numeric tables with fast tiny-config runs.
-PINNED = ("table3", "table4", "table5")
+#: Experiments pinned: the paper's numeric tables, plus the live hint
+#: mechanism's model cross-check (``message_level``), at the tiny config.
+PINNED = ("table3", "table4", "table5", "message_level")
 
 
 def _snapshot(name: str) -> dict:
