@@ -57,7 +57,7 @@ SPEEDUP_FLOORS = {
 #: hints-push misses additionally run the full push-policy dispatch
 #: (``on_remote_fetch``/``on_server_fetch`` + ``_apply_pushes``) per
 #: request in both engines, so its cold headroom is structurally small
-#: (measured ~1.8x).
+#: (measured 1.6-2.5x, median 2.3x over eight runs on a shared 2-core box).
 COLD_FLOORS = {"hints-push": 1.5}
 COLD_FLOOR_DEFAULT = 2.0
 OUTPUT = os.path.join(os.path.dirname(__file__), "..", "BENCH_engine.json")

@@ -32,7 +32,7 @@ from repro.hierarchy.topology import HierarchyTopology
 from repro.hints.directory import HintDirectory
 from repro.netmodel.model import AccessPoint, CostModel
 from repro.obs.journey import Journey
-from repro.push.base import PushAction, PushPolicy, PushStats
+from repro.push.base import PushPolicy, PushStats
 from repro.traces.records import Request
 
 
@@ -332,14 +332,14 @@ class HintHierarchy(Architecture):
             # this so extra replicas never consume disk space).
             self._store(l1_index, request)
         if self.push_policy is not None:
-            actions = self.push_policy.on_remote_fetch(
+            targets = self.push_policy.on_remote_fetch(
                 now=self._now,
                 request=request,
                 requester_l1=l1_index,
                 source_l1=holder,
                 lca_level=int(point),
             )
-            self._apply_pushes(actions, exclude={l1_index, holder})
+            self._apply_pushes(targets, request.object_id, size, request.version)
         journey = Journey()
         journey.hint_lookup(self.cost_model.hint_lookup_ms(), target=f"l1:{holder}")
         journey.transfer(
@@ -367,14 +367,14 @@ class HintHierarchy(Architecture):
         self.push_stats.demand_bytes += size
         self._store(l1_index, request)
         if self.push_policy is not None:
-            actions = self.push_policy.on_server_fetch(
+            targets = self.push_policy.on_server_fetch(
                 now=self._now,
                 request=request,
                 requester_l1=l1_index,
                 communication_miss=communication_miss,
                 stale_holders=stale_holders,
             )
-            self._apply_pushes(actions, exclude={l1_index})
+            self._apply_pushes(targets, request.object_id, size, request.version)
         journey = Journey()
         journey.hint_lookup(self.cost_model.hint_lookup_ms())
         if false_positive:
@@ -397,27 +397,29 @@ class HintHierarchy(Architecture):
             self._now, request.object_id, l1_index, request.version
         )
 
-    def _apply_pushes(self, actions: list[PushAction], exclude: set[int]) -> None:
-        for action in actions:
-            if action.target_l1 in exclude:
+    def _apply_pushes(
+        self, targets: list[int], object_id: int, size: int, version: int
+    ) -> None:
+        """Store the fetched object at each target a push policy named."""
+        age = self.push_policy.age_pushed_entries
+        caches, inform, now = self.l1_caches, self.directory.inform, self._now
+        pushed = 0
+        for node in targets:
+            cache = caches[node]
+            existing = cache.peek(object_id)
+            if existing is not None and existing.version >= version:
                 self.push_stats.skipped_count += 1
                 continue
-            cache = self.l1_caches[action.target_l1]
-            existing = cache.peek(action.object_id)
-            if existing is not None and existing.version >= action.version:
-                self.push_stats.skipped_count += 1
-                continue
-            cache.insert(action.object_id, action.size, action.version)
-            if action.age_entry:
+            cache.insert(object_id, size, version)
+            if age:
                 # Update-push aging: repeatedly-updated-but-unread objects
                 # drift toward eviction instead of staying hot.
-                cache.touch_lru_demote(action.object_id)
-            self.directory.inform(
-                self._now, action.object_id, action.target_l1, action.version
-            )
-            self._pending_push[(action.target_l1, action.object_id)] = action.version
-            self.push_stats.pushed_count += 1
-            self.push_stats.pushed_bytes += action.size
+                cache.touch_lru_demote(object_id)
+            inform(now, object_id, node, version)
+            self._pending_push[(node, object_id)] = version
+            pushed += 1
+        self.push_stats.pushed_count += pushed
+        self.push_stats.pushed_bytes += pushed * size
 
     def _consume_push_mark(self, node: int, oid: int, version: int) -> bool:
         pushed_version = self._pending_push.pop((node, oid), None)

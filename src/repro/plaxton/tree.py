@@ -99,31 +99,27 @@ class PlaxtonTree:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def _prefix_match(self, node_id: int, other_id: int, digits: int) -> bool:
-        """Do two IDs agree in their low ``digits`` digits?"""
-        return matching_low_bits(node_id, other_id) >= digits * self.bits_per_digit
-
     def _build_parent_tables(self, node: PlaxtonNode) -> None:
-        """Fill ``node.parents`` level by level until candidates run out."""
+        """Fill ``node.parents``, one row per level.
+
+        ``matching`` holds the members that share the node's low ``level``
+        digits.  One pass buckets it by digit ``level`` into the row's
+        candidates, and the bucket of the node's own digit is the next
+        level's ``matching``.  The node always matches itself, so every
+        level has a candidate.
+        """
         node.parents = []
+        matching = list(self._members.values())
         for level in range(self.max_levels):
-            row: list[int | None] = []
-            any_candidate = False
-            for digit in range(self.digit_values):
-                candidates = [
-                    other.index
-                    for other in self._members.values()
-                    if self._prefix_match(other.node_id, node.node_id, level)
-                    and low_digit(other.node_id, level, self.bits_per_digit) == digit
-                ]
-                if candidates:
-                    row.append(self.topology.nearest(node.index, candidates))
-                    any_candidate = True
-                else:
-                    row.append(None)
-            if not any_candidate:
-                break
-            node.parents.append(row)
+            buckets: list[list[PlaxtonNode]] = [[] for _ in range(self.digit_values)]
+            for other in matching:
+                buckets[low_digit(other.node_id, level, self.bits_per_digit)].append(other)
+            node.parents.append([
+                self.topology.nearest(node.index, [o.index for o in bucket])
+                if bucket else None
+                for bucket in buckets
+            ])
+            matching = buckets[low_digit(node.node_id, level, self.bits_per_digit)]
 
     def _rebuild_all(self) -> None:
         for node in self._members.values():

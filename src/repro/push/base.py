@@ -1,11 +1,12 @@
 """Push-policy interface and accounting.
 
-A policy inspects fetch events and returns :class:`PushAction` s -- extra
-replicas to create.  The host architecture applies them (charging disk
-space), and :class:`PushStats` tracks the two figures of merit from the
-paper's Figure 11: *efficiency* (fraction of pushed bytes later read
-before being evicted or invalidated) and *bandwidth* (pushed bytes over
-time, compared against demand bytes).
+A policy inspects fetch events and returns the L1 proxies that should
+receive an extra replica of the fetched object.  The host architecture
+stores the triggering request's object (id, size and version) at each
+target, charging disk space, and :class:`PushStats` tracks the two
+figures of merit from the paper's Figure 11: *efficiency* (fraction of
+pushed bytes later read before being evicted or invalidated) and
+*bandwidth* (pushed bytes over time, compared against demand bytes).
 """
 
 from __future__ import annotations
@@ -16,33 +17,24 @@ from dataclasses import dataclass, field
 from repro.traces.records import Request
 
 
-@dataclass(frozen=True)
-class PushAction:
-    """One replica to create: put (object, version) at an L1 proxy.
-
-    ``age_entry`` implements the update-push adaptivity knob of section
-    4.1.2: "whenever a cache updates an object, the cache ages the object
-    by moving it down the LRU list.  Thus, objects that are updated many
-    times without being read will be evicted."  When set, the host demotes
-    the pushed entry to the eviction end of the target's LRU list.
-    """
-
-    target_l1: int
-    object_id: int
-    size: int
-    version: int
-    age_entry: bool = False
-
-
 class PushPolicy(abc.ABC):
     """Decides what to replicate on each fetch event.
 
     The default implementations push nothing, so concrete policies override
-    only the events they care about.
+    only the events they care about.  Targets must leave out the requester
+    and, on a remote fetch, the source: the host pushes to every target it
+    is given.
     """
 
     #: Short name used in experiment reports (e.g. "push-1", "update-push").
     name: str = "abstract-push"
+
+    #: The update-push adaptivity knob of section 4.1.2: "whenever a cache
+    #: updates an object, the cache ages the object by moving it down the
+    #: LRU list.  Thus, objects that are updated many times without being
+    #: read will be evicted."  When set, the host demotes every replica
+    #: this policy pushes to the eviction end of the target's LRU list.
+    age_pushed_entries: bool = False
 
     def on_remote_fetch(
         self,
@@ -51,8 +43,8 @@ class PushPolicy(abc.ABC):
         requester_l1: int,
         source_l1: int,
         lca_level: int,
-    ) -> list[PushAction]:
-        """Called after a cache-to-cache transfer.
+    ) -> list[int]:
+        """Called after a cache-to-cache transfer; returns target L1 ids.
 
         ``lca_level`` is the metadata-hierarchy level of the least common
         ancestor of requester and source (2 = same L2 subtree, 3 = across
@@ -67,8 +59,8 @@ class PushPolicy(abc.ABC):
         requester_l1: int,
         communication_miss: bool,
         stale_holders: dict[int, int],
-    ) -> list[PushAction]:
-        """Called after an origin-server fetch.
+    ) -> list[int]:
+        """Called after an origin-server fetch; returns target L1 ids.
 
         ``stale_holders`` maps L1 nodes to the (older) version they hold;
         it is non-empty exactly when some cache still stores a stale copy.
@@ -88,7 +80,7 @@ class PushStats:
     used_bytes: int = 0
     wasted_count: int = 0  # pushed copies evicted/invalidated before use
     wasted_bytes: int = 0
-    skipped_count: int = 0  # actions dropped (already cached, rate limit)
+    skipped_count: int = 0  # targets already holding this version or newer
     demand_bytes: int = 0  # bytes moved by ordinary demand fetches
     _first_event_s: float | None = field(default=None, repr=False)
     _last_event_s: float | None = field(default=None, repr=False)

@@ -21,6 +21,11 @@ L1 members); on an L2-distance fetch, every level-1 subtree under that L2
 parent -- and a level-1 subtree is a single L1 cache, so all three
 settings push to every sibling there (matching Figure 9's "pushes object B
 to all level-1 nodes under that level-2 parent").
+
+The policy returns the target L1 ids; the host stores the fetched object
+there.  A fetch's eligible subtrees depend only on the requester, the
+source and the distance class, so each such plan is built once per policy
+and reused.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hierarchy.topology import HierarchyTopology
-from repro.push.base import PushAction, PushPolicy
+from repro.push.base import PushPolicy
 from repro.traces.records import Request
 
 #: Aggressiveness settings and the fraction of each subtree they cover.
@@ -51,6 +56,11 @@ class HierarchicalPushOnMiss(PushPolicy):
         self.mode = mode
         self.name = mode
         self._rng = np.random.default_rng(seed)
+        self._groups = [topology.l1_nodes_of_l2(g) for g in range(topology.n_l2)]
+        self._singletons = [[node] for node in range(topology.n_l1)]
+        #: (requester, source, across L2 groups) -> (eligible subtrees in
+        #: order, push-1's draw bounds: the sizes of the multi-member ones).
+        self._plans: dict[tuple[int, int, bool], tuple[list[list[int]], np.ndarray]] = {}
 
     def on_remote_fetch(
         self,
@@ -59,48 +69,48 @@ class HierarchicalPushOnMiss(PushPolicy):
         requester_l1: int,
         source_l1: int,
         lca_level: int,
-    ) -> list[PushAction]:
+    ) -> list[int]:
         if lca_level <= 1:
             return []
-        targets = self._targets(requester_l1, source_l1, lca_level)
-        return [
-            PushAction(
-                target_l1=node,
-                object_id=request.object_id,
-                size=request.size,
-                version=request.version,
-            )
-            for node in targets
-        ]
+        key = (requester_l1, source_l1, lca_level >= 3)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._plan(*key)
+        subtrees, highs = plan
+        if self.mode == "push-1":
+            # One draw per multi-member subtree, all in one call: the same
+            # stream as a ``choice(members)`` per subtree.
+            picks = iter(self._rng.integers(0, highs).tolist() if highs.size else ())
+            return [m[next(picks)] if len(m) > 1 else m[0] for m in subtrees]
+        targets: list[int] = []
+        for members in subtrees:
+            if self.mode == "push-all" or len(members) == 1:
+                targets.extend(members)
+            else:
+                # "Half of the nodes" rounds *up*: a 3-node subtree pushes
+                # to 2, never 1 (ceil, matching the paper's push-half).
+                count = (len(members) + 1) // 2
+                chosen = self._rng.choice(members, size=count, replace=False)
+                targets.extend(chosen.tolist())
+        return targets
 
-    # ------------------------------------------------------------------
-    # target selection
-    # ------------------------------------------------------------------
-    def _targets(self, requester_l1: int, source_l1: int, lca_level: int) -> list[int]:
-        exclude = {requester_l1, source_l1}
-        if lca_level >= 3:
+    def _plan(
+        self, requester_l1: int, source_l1: int, across_l2: bool
+    ) -> tuple[list[list[int]], np.ndarray]:
+        """The fetch's eligible subtrees, sharing every untouched member list."""
+        if across_l2:
             # Eligible subtrees: every L2 group under the (single) L3 root.
-            subtrees = [self.topology.l1_nodes_of_l2(g) for g in range(self.topology.n_l2)]
+            groups = self._groups
         else:
             # Eligible subtrees: the level-1 subtrees (individual L1 caches)
             # under the shared L2 parent.
-            group = self.topology.l2_of_l1(requester_l1)
-            subtrees = [[node] for node in self.topology.l1_nodes_of_l2(group)]
-        targets: list[int] = []
-        for members in subtrees:
-            eligible = [n for n in members if n not in exclude]
-            if not eligible:
-                continue
-            targets.extend(self._pick(eligible))
-        return targets
-
-    def _pick(self, eligible: list[int]) -> list[int]:
-        if self.mode == "push-all" or len(eligible) == 1:
-            return list(eligible)
-        if self.mode == "push-1":
-            return [int(self._rng.choice(eligible))]
-        # "Half of the nodes" rounds *up*: a 3-node subtree pushes to 2,
-        # never 1 (ceil, matching the paper's push-half description).
-        count = (len(eligible) + 1) // 2
-        chosen = self._rng.choice(eligible, size=count, replace=False)
-        return [int(n) for n in chosen]
+            group = self._groups[self.topology.l2_of_l1(requester_l1)]
+            groups = [self._singletons[node] for node in group]
+        subtrees = []
+        for members in groups:
+            if requester_l1 in members or source_l1 in members:
+                members = [n for n in members if n not in (requester_l1, source_l1)]
+            if members:
+                subtrees.append(members)
+        highs = np.array([len(m) for m in subtrees if len(m) > 1], dtype=np.int64)
+        return subtrees, highs

@@ -13,14 +13,14 @@ Adaptivity knobs from the paper:
   they will consume and discard update-fetch requests that exceed that
   rate");
 * aging of repeatedly-updated-but-unread objects is implemented by the
-  host architecture demoting pushed entries in LRU order (the policy flags
-  each action; see :meth:`HintHierarchy._apply_pushes` marking replicas as
-  pending until first use).
+  host architecture demoting pushed entries in LRU order (the policy's
+  ``age_pushed_entries``; see :meth:`HintHierarchy._apply_pushes`, which
+  also marks replicas as pending until first use).
 """
 
 from __future__ import annotations
 
-from repro.push.base import PushAction, PushPolicy
+from repro.push.base import PushPolicy
 from repro.traces.records import Request
 
 
@@ -62,29 +62,21 @@ class UpdatePush(PushPolicy):
         requester_l1: int,
         communication_miss: bool,
         stale_holders: dict[int, int],
-    ) -> list[PushAction]:
+    ) -> list[int]:
         if not communication_miss or not stale_holders:
             return []
         if self._first_event is None:
             self._first_event = now
-        actions: list[PushAction] = []
+        targets: list[int] = []
         for node in sorted(stale_holders):
             if node == requester_l1:
                 continue
             if not self._within_budget(now, request.size):
                 self.discarded_for_rate += 1
                 continue
-            actions.append(
-                PushAction(
-                    target_l1=node,
-                    object_id=request.object_id,
-                    size=request.size,
-                    version=request.version,
-                    age_entry=self.age_pushed_entries,
-                )
-            )
+            targets.append(node)
             self._bytes_pushed += request.size
-        return actions
+        return targets
 
     def _within_budget(self, now: float, size: int) -> bool:
         if self.max_bandwidth_bytes_per_s is None:

@@ -930,8 +930,9 @@ class HintKernel(_Kernel):
         (a dead holder is a stale timeout: dead probe, dropped hint,
         false positive), false-positive recording, push-stats accounting
         (healthy only), demand store + inform (skipped by ideal-push
-        remote hits), push-policy dispatch through the architecture's own
-        ``_apply_pushes``.  Under a lossy plan or a dead metadata node the
+        remote hits), then the push policy's target ids, which the
+        architecture's own ``_apply_pushes`` fills with the missed row's
+        object.  Under a lossy plan or a dead metadata node the
         inform is ``announce``, which draws the loss once per store, after
         the insert, and hides the hint when dropped or relayed by a dead
         metadata node.
@@ -994,14 +995,10 @@ class HintKernel(_Kernel):
                         cache.insert(oid, size, version)
                         announce(t, oid, l1i, version)
                     if policy is not None:
-                        actions = policy.on_remote_fetch(
-                            now=t,
-                            request=requests[i],
-                            requester_l1=l1i,
-                            source_l1=holder,
-                            lca_level=point,
+                        apply_pushes(
+                            policy.on_remote_fetch(t, requests[i], l1i, holder, point),
+                            oid, size, version,
                         )
-                        apply_pushes(actions, exclude={l1i, holder})
                     return pattern, holder, 1 if ideal else point
                 else:
                     directory.record_false_positive()
@@ -1015,14 +1012,12 @@ class HintKernel(_Kernel):
             cache.insert(oid, size, version)
             announce(t, oid, l1i, version)
             if policy is not None:
-                actions = policy.on_server_fetch(
-                    now=t,
-                    request=requests[i],
-                    requester_l1=l1i,
-                    communication_miss=stale or bool(stale_holders),
-                    stale_holders=stale_holders,
+                apply_pushes(
+                    policy.on_server_fetch(
+                        t, requests[i], l1i, stale or bool(stale_holders), stale_holders
+                    ),
+                    oid, size, version,
                 )
-                apply_pushes(actions, exclude={l1i})
             return pattern, holder, point
 
         return miss

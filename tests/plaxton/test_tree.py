@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -199,3 +202,49 @@ class TestMembership:
         tree.remove_node(7)
         with pytest.raises(TopologyError, match="unique"):
             tree.add_node(7, existing_id)
+
+
+def _table_digest(tree) -> str:
+    snapshot = tree.parent_table_snapshot()
+    return hashlib.sha256(json.dumps(snapshot, sort_keys=True).encode()).hexdigest()
+
+
+#: ``(bits_per_digit, n_nodes)`` -> digests of ``parent_table_snapshot()``
+#: as built, then after removing node 5 (the tree seed is
+#: ``100 * bits + n``).  Any change to how the tables are built must keep
+#: every nearest-parent choice, ties included.
+PARENT_TABLE_DIGESTS = {
+    (1, 16): (
+        "22cb3998b6c0713044efdd47d9465dad036af7ca6348a4c2a3cc1fc4343a8347",
+        "5566334d5ac39328f9bb3234cfcc0fc8d7563fdd4f8175be1150a7c58001d376",
+    ),
+    (1, 64): (
+        "c1fe63626d17d8aabc54731bfbd989b0d66eaf5f58f6210c8d73255280242b5f",
+        "6fa5029155fc76b6597e45960472193fac8305997b1111e8e9ea9eee50e3866c",
+    ),
+    (2, 16): (
+        "2ca214c2ada07e6590f5a7e1f786de9313fe66d7f5bc8e9a1475cf1589ff0201",
+        "82d1a436bb5f264a131abc7647e9344994fbda6d319b64f3129c0777779babb8",
+    ),
+    (2, 64): (
+        "9e70009faf55da33b8b93e3b7e7c634aa5526de3b42460b6b183b7c8bed2ce2b",
+        "cdc963dfa8ccd056f70ce45b487b4a813815acf0f068c59f43d64d30ec58cd89",
+    ),
+    (4, 16): (
+        "37499940ab59c5dae43af733bfba9fee9b60c06d947d720de5895afa179606eb",
+        "ce719d4af5aeeeb55a3adcf5a999c144238fe5d935682a3bc7a1dab754013b4a",
+    ),
+    (4, 64): (
+        "cdadeddda7733f113220a0471182655bd39a832dd735fb91fead48782fc7922a",
+        "ea8b18da255ae82b9135a37402dab0aef0313fc6b1f827a51b92b800adf3fb3d",
+    ),
+}
+
+
+@pytest.mark.parametrize("bits, n_nodes", sorted(PARENT_TABLE_DIGESTS))
+def test_parent_tables_pinned(bits, n_nodes):
+    tree = make_tree(n_nodes=n_nodes, bits_per_digit=bits, seed=100 * bits + n_nodes)
+    built, after_removal = PARENT_TABLE_DIGESTS[(bits, n_nodes)]
+    assert _table_digest(tree) == built
+    tree.remove_node(5)
+    assert _table_digest(tree) == after_removal

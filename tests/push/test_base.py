@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.push.base import PushAction, PushStats
+from repro.push.base import PushStats
 from repro.push.nopush import NoPush
 from repro.traces.records import Request
 
@@ -42,7 +42,3 @@ class TestNoPush:
         policy = NoPush()
         assert policy.on_remote_fetch(0.0, make_request(), 0, 1, 3) == []
         assert policy.on_server_fetch(0.0, make_request(), 0, True, {1: 0}) == []
-
-    def test_push_action_fields(self):
-        action = PushAction(target_l1=3, object_id=7, size=100, version=2)
-        assert (action.target_l1, action.object_id) == (3, 7)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
+import numpy as np
 import pytest
 
 from repro.hierarchy.topology import HierarchyTopology
@@ -16,11 +20,10 @@ def make_request(obj=1, version=0, size=100):
 
 
 def targets(policy, requester, source, lca):
-    actions = policy.on_remote_fetch(
+    return policy.on_remote_fetch(
         now=0.0, request=make_request(), requester_l1=requester,
         source_l1=source, lca_level=lca,
     )
-    return [a.target_l1 for a in actions]
 
 
 class TestEligibleSubtrees:
@@ -87,12 +90,62 @@ class TestDeterminism:
     def test_name_is_mode(self):
         assert HierarchicalPushOnMiss(TOPOLOGY, "push-half").name == "push-half"
 
-    def test_actions_carry_request_identity(self):
-        policy = HierarchicalPushOnMiss(TOPOLOGY, "push-1", seed=0)
-        actions = policy.on_remote_fetch(
-            now=0.0, request=make_request(obj=42, version=7, size=555),
-            requester_l1=0, source_l1=8, lca_level=3,
-        )
-        assert all(
-            (a.object_id, a.version, a.size) == (42, 7, 555) for a in actions
-        )
+
+class TestTargetStream:
+    """The exact targets every mode picks, and so its RNG stream.
+
+    Both engines share one policy object, so the fast/reference parity
+    matrix cannot see a change to the draws; these digests can.  The
+    fetches are seeded ``(requester, source)`` pairs of distinct L1s at
+    their real distance class.  ``l1_per_l2=2`` leaves single-member
+    subtrees once the requester and source are excluded (they draw
+    nothing), and there a half of two is one: push-half picks exactly
+    what push-1 picks.
+    """
+
+    FETCHES = 5_000
+    DIGESTS = {
+        ("8x8", "push-1"): (
+            "4a3b8e6150e9f81783d724a64eef25f8"
+            "080c47d5de83de981cfc8d7c6e303c29"
+        ),
+        ("8x8", "push-half"): (
+            "4e3b8f343d06bb1d122d78addcdd38ed"
+            "239b00e9dd6085f91d94c77ac18b9d15"
+        ),
+        ("8x8", "push-all"): (
+            "f7f70289526fea275031a327600952e8"
+            "63c2e7a65c46ea137f0c27a36be169d4"
+        ),
+        ("2x8", "push-1"): (
+            "dbb10e5523f4e45b5eab652933fe6e6f"
+            "65422ccc34adc6c3ff875c084066868f"
+        ),
+        ("2x8", "push-half"): (
+            "dbb10e5523f4e45b5eab652933fe6e6f"
+            "65422ccc34adc6c3ff875c084066868f"
+        ),
+        ("2x8", "push-all"): (
+            "e81e96ed05074b2806b7715eca4cb9a9"
+            "a5a36131675f605814c92a7c9e54e225"
+        ),
+    }
+    TOPOLOGIES = {
+        "8x8": HierarchyTopology(clients_per_l1=1, l1_per_l2=8, n_l2=8),
+        "2x8": HierarchyTopology(clients_per_l1=1, l1_per_l2=2, n_l2=8),
+    }
+
+    @pytest.mark.parametrize("shape, mode", sorted(DIGESTS))
+    def test_target_sequences_pinned(self, shape, mode):
+        topology = self.TOPOLOGIES[shape]
+        policy = HierarchicalPushOnMiss(topology, mode, seed=11)
+        fetches = np.random.default_rng(2024)
+        sequences = []
+        for _ in range(self.FETCHES):
+            requester = int(fetches.integers(topology.n_l1))
+            source = int(fetches.integers(topology.n_l1 - 1))
+            source += source >= requester
+            lca = topology.lca_level(requester, source)
+            sequences.append(targets(policy, requester, source, lca))
+        digest = hashlib.sha256(json.dumps(sequences).encode()).hexdigest()
+        assert digest == self.DIGESTS[(shape, mode)]

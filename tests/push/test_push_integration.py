@@ -125,6 +125,39 @@ class TestUpdatePushAging:
         assert 2 not in arch.l1_caches[0]
 
 
+class TestPushedReplicas:
+    @pytest.mark.parametrize(
+        "policy, fetched, targets",
+        [
+            # An L3-distance fetch from node 0: push-1 takes the one other
+            # node of each L2 group.
+            (
+                HierarchicalPushOnMiss(TOPOLOGY, "push-1", seed=0),
+                make_request(client=2, version=3, size=800, time=1.0),
+                [1, 3],
+            ),
+            # A new version from the origin: node 0 still holds version 3.
+            (
+                UpdatePush(),
+                make_request(client=2, version=4, size=900, time=1.0),
+                [0],
+            ),
+        ],
+        ids=["push-1", "update-push"],
+    )
+    def test_replicas_carry_the_fetched_size_and_version(
+        self, policy, fetched, targets
+    ):
+        arch = HintHierarchy(TOPOLOGY, TestbedCostModel(), push_policy=policy)
+        arch.process(make_request(client=0, version=3, size=700, time=0.0))
+        arch.process(fetched)
+        assert arch.push_stats.pushed_count == len(targets)
+        assert [
+            (entry.size, entry.version)
+            for entry in (arch.l1_caches[node].peek(1) for node in targets)
+        ] == [(fetched.size, fetched.version)] * len(targets)
+
+
 class TestEfficiencyAccounting:
     def test_efficiency_reflects_use(self):
         policy = HierarchicalPushOnMiss(TOPOLOGY, "push-all", seed=0)

@@ -17,26 +17,25 @@ def make_request(obj=1, version=1, size=100, time=0.0):
 class TestTargeting:
     def test_pushes_to_stale_holders(self):
         policy = UpdatePush()
-        actions = policy.on_server_fetch(
+        targets = policy.on_server_fetch(
             now=0.0,
             request=make_request(version=2),
             requester_l1=0,
             communication_miss=True,
             stale_holders={3: 1, 5: 0},
         )
-        assert sorted(a.target_l1 for a in actions) == [3, 5]
-        assert all(a.version == 2 for a in actions)
+        assert sorted(targets) == [3, 5]
 
     def test_requester_excluded(self):
         policy = UpdatePush()
-        actions = policy.on_server_fetch(
+        targets = policy.on_server_fetch(
             now=0.0,
             request=make_request(version=2),
             requester_l1=3,
             communication_miss=True,
             stale_holders={3: 1, 5: 0},
         )
-        assert [a.target_l1 for a in actions] == [5]
+        assert targets == [5]
 
     def test_no_push_on_compulsory_miss(self):
         policy = UpdatePush()
@@ -60,14 +59,14 @@ class TestRateLimit:
     def test_budget_discards_excess(self):
         policy = UpdatePush(max_bandwidth_bytes_per_s=100.0)
         # First event at t=0: elapsed is clamped to 1 s -> 100 B budget.
-        actions = policy.on_server_fetch(
+        targets = policy.on_server_fetch(
             now=0.0,
             request=make_request(version=2, size=80),
             requester_l1=0,
             communication_miss=True,
             stale_holders={1: 0, 2: 0, 3: 0},
         )
-        assert len(actions) == 1
+        assert len(targets) == 1
         assert policy.discarded_for_rate == 2
 
     def test_budget_recovers_over_time(self):

@@ -26,9 +26,11 @@ from tests.conftest import make_tiny_config
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
-#: Experiments pinned: the paper's numeric tables, plus the live hint
-#: mechanism's model cross-check (``message_level``), at the tiny config.
-PINNED = ("table3", "table4", "table5", "message_level")
+#: Experiments pinned: the paper's numeric tables, the push comparison
+#: (``figure10``: push-1, push-half, push-all and update-push rows), plus
+#: the live hint mechanism's model cross-check (``message_level``), at
+#: the tiny config.
+PINNED = ("table3", "table4", "table5", "figure10", "message_level")
 
 
 def _snapshot(name: str) -> dict:
