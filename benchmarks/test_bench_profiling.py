@@ -1,19 +1,19 @@
 """Bench: span-profiler cost -- detached (the default) and attached.
 
-Three claims are pinned:
+Three claims are checked, and the report is printed (pytest shows it
+on failure, or always with ``-s``):
 
 * **Detached profiling is free.** With no profiler attached every
   instrumented site pays one module-pointer check per *run* (never per
   request); an uninstrumented twin of the engine loop (no telemetry,
   audit, or profiling branches at all) must run within a 3% budget of
   the real ``run_simulation`` with nothing attached, on the loop it
-  twins (``engine="reference"``).  This is the
-  headline ``BENCH_HISTORY.jsonl`` tracks and the floor
-  ``python -m repro.obs.perf`` re-checks on the committed file.
+  twins (``engine="reference"``).  The report carries the budget as
+  ``max_detached_overhead_pct``.
 * **Attached profiling is invisible to results.** Running under
   ``profiling.attached(SpanProfiler())`` must not change a single
-  metric; its wall-clock overhead is recorded (not bounded -- span count
-  is workload-dependent) in ``BENCH_profiling.json`` at the repo root.
+  metric; its wall-clock overhead is printed (not bounded -- span count
+  is workload-dependent).
 * **The span forest reconciles.** Summing self time over the attached
   run's whole table reproduces the root durations exactly -- the same
   accounting identity the ``profile`` verb's footer prints.
@@ -25,19 +25,19 @@ cannot skew either side.
 from __future__ import annotations
 
 import json
-import os
 
 from conftest import run_once
 from test_bench_telemetry import make_architectures, run_uninstrumented
 
 from repro.common.timing import Stopwatch
 from repro.obs import profiling
-from repro.obs.perfhistory import PROFILING_DETACHED_BUDGET_PCT
 from repro.sim.engine import run_simulation
 from repro.traces.synthetic import SyntheticTraceGenerator
 
 ROUNDS = 3
-OUTPUT = os.path.join(os.path.dirname(__file__), "..", "BENCH_profiling.json")
+#: Acceptance budget: detached profiling within this many percent of the
+#: uninstrumented twin, aggregated over all four architectures.
+PROFILING_DETACHED_BUDGET_PCT = 3.0
 
 
 def bench_stages(config):
@@ -116,9 +116,6 @@ def bench_stages(config):
 
 def test_bench_profiling(benchmark, bench_config):
     report = run_once(benchmark, bench_stages, bench_config)
-    with open(OUTPUT, "w", encoding="utf-8") as stream:
-        json.dump(report, stream, indent=2, sort_keys=True)
-        stream.write("\n")
     print("\n" + json.dumps(report, indent=2, sort_keys=True))
     # The acceptance budget: profiling-capable-but-detached within 3% of
     # the uninstrumented twin (aggregate over all four architectures, so

@@ -3,8 +3,8 @@
 Times :func:`repro.runner.sharding.run_comparison_sharded` over the
 standard four architectures at ``shards=4`` (inline ``jobs=1``, so the
 numbers measure the sharded engine itself rather than process-pool
-scheduling noise) and pins the report to ``BENCH_sharding.json`` at the
-repo root.  Every timed run is invariance-gated: the ``shards=4``
+scheduling noise) and prints the report (pytest shows it on failure, or
+always with ``-s``).  Every timed run is invariance-gated: the ``shards=4``
 metrics must equal a ``shards=1`` run of the same matrix byte for byte
 -- the sharded runner's entire contract, enforced where throughput is
 recorded.
@@ -13,7 +13,6 @@ recorded.
 from __future__ import annotations
 
 import json
-import os
 
 from conftest import run_once
 
@@ -29,12 +28,13 @@ from repro.traces.synthetic import SyntheticTraceGenerator
 ROUNDS = 3
 SHARDS = 4
 #: Aggregate floor over the whole matrix (requests simulated per second
-#: of comparison wall-clock, all four architectures).  The reference
-#: loop sustains >20k req/s per architecture unsharded; splitting into
-#: 16 partition sub-runs keeps per-request cost flat, so the matrix
-#: floor is deliberately conservative.
+#: of comparison wall-clock, all four architectures).  The bench runs the
+#: library default ``engine="auto"``, so every partition sub-run takes
+#: the columnar kernels: 90-208k req/s per architecture at ``shards=4``
+#: over seven runs on a shared 2-core box.  The floor sits far below
+#: that, below even the per-request reference loop, so it trips only
+#: when sharding itself breaks, not on kernel speed or host noise.
 TOTAL_RPS_FLOOR = 10_000
-OUTPUT = os.path.join(os.path.dirname(__file__), "..", "BENCH_sharding.json")
 
 ARCHITECTURES = {
     "hierarchy": DataHierarchy,
@@ -87,8 +87,5 @@ def bench_sharding(config):
 
 def test_bench_sharding(benchmark, bench_config):
     report = run_once(benchmark, bench_sharding, bench_config)
-    with open(OUTPUT, "w", encoding="utf-8") as stream:
-        json.dump(report, stream, indent=2, sort_keys=True)
-        stream.write("\n")
     print("\n" + json.dumps(report, indent=2, sort_keys=True))
     assert report["total_rps"] >= TOTAL_RPS_FLOOR, report["total_rps"]

@@ -1,6 +1,7 @@
 """Bench: telemetry and audit cost -- disabled (the default) and enabled.
 
-Three claims are pinned:
+Three claims are checked, and the report is printed (pytest shows it
+on failure, or always with ``-s``):
 
 * **Disabled instrumentation is free.** With neither a registry nor
   audit hooks attached the engine pays one ``is not None`` check per
@@ -11,12 +12,11 @@ Three claims are pinned:
   loop it twins, ``engine="reference"``.
 * **Enabled telemetry is cheap and invisible.** Attaching a
   :class:`~repro.obs.telemetry.RunTelemetry` must not change a single
-  metric, and its wall-clock overhead is recorded (not bounded -- binning
-  cost is workload-dependent) in ``BENCH_telemetry.json`` at the repo
-  root, the first point of the bench trajectory.
+  metric, and its wall-clock overhead is printed (not bounded -- binning
+  cost is workload-dependent).
 * **Enabled audit is invisible too.** Attaching
   :class:`~repro.audit.hooks.AuditHooks` (strided scans) must not change
-  a single metric either; its overhead is likewise recorded, not
+  a single metric either; its overhead is likewise printed, not
   bounded -- full-state scans are the price of re-proving invariants.
 
 Timings are interleaved min-of-N so one cache-cold or preempted round
@@ -26,7 +26,6 @@ cannot skew either side.
 from __future__ import annotations
 
 import json
-import os
 
 from conftest import run_once
 
@@ -43,7 +42,6 @@ from repro.sim.metrics import SimMetrics
 from repro.traces.synthetic import SyntheticTraceGenerator
 
 ROUNDS = 3
-OUTPUT = os.path.join(os.path.dirname(__file__), "..", "BENCH_telemetry.json")
 
 
 def make_architectures(config):
@@ -162,9 +160,6 @@ def bench_stages(config):
 
 def test_bench_telemetry(benchmark, bench_config):
     report = run_once(benchmark, bench_stages, bench_config)
-    with open(OUTPUT, "w", encoding="utf-8") as stream:
-        json.dump(report, stream, indent=2, sort_keys=True)
-        stream.write("\n")
     print("\n" + json.dumps(report, indent=2, sort_keys=True))
     # The acceptance budget: instrumented-but-disabled within 2% of the
     # uninstrumented twin (aggregate over all four architectures, so

@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--policy", default=None, metavar="MAP",
-        help="with the 'decompose'/'timeline' verbs: per-level replacement "
+        help="with the 'decompose'/'timeline'/'profile' verbs: per-level replacement "
         "policies, e.g. 'l1=lfu,l2=lru,l3=random' or a bare 'lfu' for every "
         "level ('random' accepts a seed: 'random:7').  Implies the "
         "space-constrained capacities (policies only differ under "
@@ -151,82 +151,59 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _accepts_profile(run) -> bool:
-    """Does this experiment's ``run`` take a ``profile_name`` keyword?"""
-    import inspect
-
-    return "profile_name" in inspect.signature(run).parameters
+#: Verb-specific flags (argparse ``dest``) and the verbs that take them.
+#: ``main`` refuses any of them on another command before it dispatches,
+#: rather than let that command ignore it.
+_VERB_FLAGS = {
+    "out": ("profile",),
+    "memory": ("profile",),
+    "sim_track": ("profile",),
+    "journeys": ("decompose",),
+    "timeline": ("timeline",),
+    "prometheus": ("timeline",),
+    "policy": ("decompose", "timeline", "profile"),
+    "shards": ("decompose", "timeline"),
+    "virtual_partitions": ("decompose", "timeline"),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     # "run" is accepted as an optional leading verb ("repro.experiments run
     # figure8"); "run" itself is not an experiment name, so this is never
     # ambiguous.
     if args.experiments and args.experiments[0] == "run":
         args.experiments = args.experiments[1:]
-    if args.experiments and args.experiments[0] == "decompose":
-        if args.experiments[1:]:
-            print("'decompose' takes no experiment names", file=sys.stderr)
+    verbs = {"decompose": _run_decompose, "timeline": _run_timeline, "profile": _run_profile}
+    verb = args.experiments[0] if args.experiments else None
+    if verb not in verbs:
+        verb = None
+    for dest, takers in _VERB_FLAGS.items():
+        if getattr(args, dest) != parser.get_default(dest) and verb not in takers:
+            flag = "--" + dest.replace("_", "-")
+            wording = " or ".join(f"'{taker}'" for taker in takers)
+            print(f"{flag} requires the {wording} verb", file=sys.stderr)
             return 2
-        return _run_decompose(args)
-    if args.experiments and args.experiments[0] == "timeline":
+    if args.jobs < 1:
+        print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 2
+    if verb is not None:
         if args.experiments[1:]:
-            print("'timeline' takes no experiment names", file=sys.stderr)
+            print(f"'{verb}' takes no experiment names", file=sys.stderr)
             return 2
-        return _run_timeline(args)
-    if args.experiments and args.experiments[0] == "profile":
-        if args.experiments[1:]:
-            print("'profile' takes no experiment names", file=sys.stderr)
-            return 2
-        return _run_profile(args)
-    if args.out is not None or args.memory or args.sim_track:
-        print(
-            "--out/--memory/--sim-track require the 'profile' verb",
-            file=sys.stderr,
-        )
-        return 2
-    if args.journeys is not None:
-        print("--journeys requires the 'decompose' verb", file=sys.stderr)
-        return 2
-    if args.timeline is not None or args.prometheus is not None:
-        print(
-            "--timeline/--prometheus require the 'timeline' verb", file=sys.stderr
-        )
-        return 2
-    if args.policy is not None:
-        print(
-            "--policy requires the 'decompose' or 'timeline' verb", file=sys.stderr
-        )
-        return 2
-    if args.shards is not None or args.virtual_partitions is not None:
-        print(
-            "--shards/--virtual-partitions require the 'decompose' or "
-            "'timeline' verb",
-            file=sys.stderr,
-        )
-        return 2
+        return verbs[verb](args)
     if args.list:
         for name in all_experiments():
             print(name)
         return 0
-    if args.jobs < 1:
-        print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
-        return 2
 
     names = all_experiments() if args.all else args.experiments
     if not names:
         print("nothing to run; use --list, --all, or name experiments", file=sys.stderr)
         return 2
 
-    config = default_config()
-    if args.scale is not None:
-        config = config.with_scale(args.scale)
-    if args.seed is not None:
-        from dataclasses import replace
-
-        config = replace(config, seed=args.seed)
-
+    config = _config(args)
     status = 0
     runnable = []
     for name in names:
@@ -241,21 +218,6 @@ def main(argv: list[str] | None = None) -> int:
     if not runnable:
         return status
 
-    # --profile only affects experiments whose run() takes profile_name;
-    # it stays on the sequential in-process path (a per-experiment kwarg
-    # does not fit the uniform parallel work unit).
-    profile_overrides = {
-        name: args.profile
-        for name in runnable
-        if args.profile is not None and _accepts_profile(get_experiment(name))
-    }
-    if profile_overrides and args.jobs > 1:
-        print(
-            "--profile forces --jobs 1 (profile overrides are per-experiment)",
-            file=sys.stderr,
-        )
-        args.jobs = 1
-
     def announce(timings):
         # Live status on stderr (results print to stdout, in order, below).
         print(
@@ -264,18 +226,14 @@ def main(argv: list[str] | None = None) -> int:
             flush=True,
         )
 
-    if profile_overrides:
-        summary = _run_with_profile(
-            runnable, config, profile_overrides, trace_cache_dir=args.trace_cache
-        )
-    else:
-        summary = run_experiments(
-            runnable,
-            config,
-            jobs=args.jobs,
-            trace_cache_dir=args.trace_cache,
-            progress=announce,
-        )
+    summary = run_experiments(
+        runnable,
+        config,
+        jobs=args.jobs,
+        trace_cache_dir=args.trace_cache,
+        progress=announce,
+        profile_name=args.profile,
+    )
 
     from contextlib import nullcontext
 
@@ -323,8 +281,38 @@ def main(argv: list[str] | None = None) -> int:
     return status
 
 
-def _standard_architectures(config, cost, policy_arg):
-    """Build the standard four, honouring a ``--policy`` map when given.
+def _config(args):
+    """The default experiment config with ``--scale``/``--seed`` applied."""
+    config = default_config()
+    if args.scale is not None:
+        config = config.with_scale(args.scale)
+    if args.seed is not None:
+        from dataclasses import replace
+
+        config = replace(config, seed=args.seed)
+    return config
+
+
+def _verb_setup(args):
+    """What every verb starts from: the config, the workload profile name
+    (``--profile``, default ``dec``) and, with ``--trace-cache``, that
+    store installed as the active trace cache."""
+    if args.trace_cache is not None:
+        from repro.runner.trace_cache import (
+            TraceCache,
+            get_trace_cache,
+            set_trace_cache,
+        )
+
+        if get_trace_cache().directory != args.trace_cache:
+            set_trace_cache(TraceCache(args.trace_cache))
+    return _config(args), args.profile or "dec"
+
+
+def _standard_specs(config, policy_arg):
+    """The standard four as picklable
+    :class:`~repro.runner.specs.ArchitectureSpec` factories, honouring a
+    ``--policy`` map when given.
 
     Without ``--policy`` this is the historical unbounded construction
     (byte-identical results).  With it, the space-constrained capacities
@@ -339,77 +327,32 @@ def _standard_architectures(config, cost, policy_arg):
     from repro.hierarchy.directory_arch import CentralizedDirectoryArchitecture
     from repro.hierarchy.hint_hierarchy import HintHierarchy
     from repro.hierarchy.icp import IcpHierarchy
-
-    if policy_arg is None:
-        return [
-            DataHierarchy(config.topology, cost),
-            IcpHierarchy(config.topology, cost),
-            HintHierarchy(config.topology, cost),
-            CentralizedDirectoryArchitecture(config.topology, cost),
-        ]
-    from repro.cache.policy import parse_policy_map
-
-    policies = parse_policy_map(policy_arg)
-    data_kwargs = dict(
-        l1_bytes=config.l1_cache_bytes,
-        l2_bytes=config.l1_cache_bytes,
-        l3_bytes=config.l1_cache_bytes,
-        l1_policy=policies.get("l1"),
-        l2_policy=policies.get("l2"),
-        l3_policy=policies.get("l3"),
-    )
-    hint_kwargs = dict(
-        l1_bytes=config.hint_data_cache_bytes, l1_policy=policies.get("l1")
-    )
-    return [
-        DataHierarchy(config.topology, cost, **data_kwargs),
-        IcpHierarchy(config.topology, cost, **data_kwargs),
-        HintHierarchy(config.topology, cost, **hint_kwargs),
-        CentralizedDirectoryArchitecture(config.topology, cost, **hint_kwargs),
-    ]
-
-
-def _standard_specs(config, cost, policy_arg):
-    """Picklable :class:`~repro.runner.specs.ArchitectureSpec` twins of
-    :func:`_standard_architectures` (the ``profile`` verb fans out through
-    ``run_comparison_parallel``, which builds architectures in workers)."""
-    from repro.hierarchy.data_hierarchy import DataHierarchy
-    from repro.hierarchy.directory_arch import CentralizedDirectoryArchitecture
-    from repro.hierarchy.hint_hierarchy import HintHierarchy
-    from repro.hierarchy.icp import IcpHierarchy
+    from repro.netmodel.testbed import TestbedCostModel
     from repro.runner.specs import ArchitectureSpec
 
-    if policy_arg is None:
-        return [
-            ArchitectureSpec(factory, (config.topology, cost))
-            for factory in (
-                DataHierarchy,
-                IcpHierarchy,
-                HintHierarchy,
-                CentralizedDirectoryArchitecture,
-            )
-        ]
-    from repro.cache.policy import parse_policy_map
+    data_kwargs: dict = {}
+    hint_kwargs: dict = {}
+    if policy_arg is not None:
+        from repro.cache.policy import parse_policy_map
 
-    policies = parse_policy_map(policy_arg)
-    data_kwargs = dict(
-        l1_bytes=config.l1_cache_bytes,
-        l2_bytes=config.l1_cache_bytes,
-        l3_bytes=config.l1_cache_bytes,
-        l1_policy=policies.get("l1"),
-        l2_policy=policies.get("l2"),
-        l3_policy=policies.get("l3"),
-    )
-    hint_kwargs = dict(
-        l1_bytes=config.hint_data_cache_bytes, l1_policy=policies.get("l1")
-    )
+        policies = parse_policy_map(policy_arg)
+        data_kwargs = dict(
+            l1_bytes=config.l1_cache_bytes,
+            l2_bytes=config.l1_cache_bytes,
+            l3_bytes=config.l1_cache_bytes,
+            l1_policy=policies.get("l1"),
+            l2_policy=policies.get("l2"),
+            l3_policy=policies.get("l3"),
+        )
+        hint_kwargs = dict(
+            l1_bytes=config.hint_data_cache_bytes, l1_policy=policies.get("l1")
+        )
+    shared = (config.topology, TestbedCostModel())
     return [
-        ArchitectureSpec(DataHierarchy, (config.topology, cost), data_kwargs),
-        ArchitectureSpec(IcpHierarchy, (config.topology, cost), data_kwargs),
-        ArchitectureSpec(HintHierarchy, (config.topology, cost), hint_kwargs),
-        ArchitectureSpec(
-            CentralizedDirectoryArchitecture, (config.topology, cost), hint_kwargs
-        ),
+        ArchitectureSpec(DataHierarchy, shared, data_kwargs),
+        ArchitectureSpec(IcpHierarchy, shared, data_kwargs),
+        ArchitectureSpec(HintHierarchy, shared, hint_kwargs),
+        ArchitectureSpec(CentralizedDirectoryArchitecture, shared, hint_kwargs),
     ]
 
 
@@ -472,37 +415,16 @@ def _run_profile(args) -> int:
     import os
     import tempfile
 
-    from repro.netmodel.testbed import TestbedCostModel
     from repro.obs import profiling
     from repro.reporting.tables import format_comparison_table
     from repro.runner.parallel import run_comparison_parallel
 
-    if args.jobs < 1:
-        print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
-        return 2
     if args.bin <= 0:
         print(f"--bin must be positive, got {args.bin}", file=sys.stderr)
         return 2
-    config = default_config()
-    if args.scale is not None:
-        config = config.with_scale(args.scale)
-    if args.seed is not None:
-        from dataclasses import replace
-
-        config = replace(config, seed=args.seed)
-    profile_name = args.profile or "dec"
-    if args.trace_cache is not None:
-        from repro.runner.trace_cache import (
-            TraceCache,
-            get_trace_cache,
-            set_trace_cache,
-        )
-
-        if get_trace_cache().directory != args.trace_cache:
-            set_trace_cache(TraceCache(args.trace_cache))
-    cost = TestbedCostModel()
+    config, profile_name = _verb_setup(args)
     try:
-        specs = _standard_specs(config, cost, args.policy)
+        specs = _standard_specs(config, args.policy)
     except ValueError as exc:
         print(f"--policy: {exc}", file=sys.stderr)
         return 2
@@ -564,40 +486,19 @@ def _run_decompose(args) -> int:
     ``arch`` field distinguishes the four runs).
     """
     from repro.experiments.base import trace_for
-    from repro.netmodel.testbed import TestbedCostModel
     from repro.obs.sink import JourneySink, JsonlJourneySink
     from repro.reporting.tables import format_decomposition_table
     from repro.sim.engine import run_simulation
 
-    config = default_config()
-    if args.scale is not None:
-        config = config.with_scale(args.scale)
-    if args.seed is not None:
-        from dataclasses import replace
-
-        config = replace(config, seed=args.seed)
-    profile_name = args.profile or "dec"
-    if args.trace_cache is not None:
-        from repro.runner.trace_cache import (
-            TraceCache,
-            get_trace_cache,
-            set_trace_cache,
-        )
-
-        if get_trace_cache().directory != args.trace_cache:
-            set_trace_cache(TraceCache(args.trace_cache))
-    cost = TestbedCostModel()
+    config, profile_name = _verb_setup(args)
+    try:
+        specs = _standard_specs(config, args.policy)
+    except ValueError as exc:
+        print(f"--policy: {exc}", file=sys.stderr)
+        return 2
     if args.shards is not None or args.virtual_partitions is not None:
         if args.journeys is not None:
             print("--journeys is not supported with --shards", file=sys.stderr)
-            return 2
-        if args.jobs < 1:
-            print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
-            return 2
-        try:
-            specs = _standard_specs(config, cost, args.policy)
-        except ValueError as exc:
-            print(f"--policy: {exc}", file=sys.stderr)
             return 2
         try:
             comparison = _sharded_comparison(args, config, profile_name, specs)
@@ -616,11 +517,7 @@ def _run_decompose(args) -> int:
         print(_shard_summary_line(comparison))
         return 0
     trace = trace_for(config, profile_name)
-    try:
-        architectures = _standard_architectures(config, cost, args.policy)
-    except ValueError as exc:
-        print(f"--policy: {exc}", file=sys.stderr)
-        return 2
+    architectures = [spec.build() for spec in specs]
     sink = (
         JsonlJourneySink(args.journeys) if args.journeys is not None else JourneySink()
     )
@@ -653,7 +550,6 @@ def _run_timeline(args) -> int:
     lines, and a hit-rate-vs-time chart.
     """
     from repro.experiments.base import trace_for
-    from repro.netmodel.testbed import TestbedCostModel
     from repro.obs.export import (
         prometheus_text,
         write_timeline_csv,
@@ -667,24 +563,12 @@ def _run_timeline(args) -> int:
     if args.bin <= 0:
         print(f"--bin must be positive, got {args.bin}", file=sys.stderr)
         return 2
-    config = default_config()
-    if args.scale is not None:
-        config = config.with_scale(args.scale)
-    if args.seed is not None:
-        from dataclasses import replace
-
-        config = replace(config, seed=args.seed)
-    profile_name = args.profile or "dec"
-    if args.trace_cache is not None:
-        from repro.runner.trace_cache import (
-            TraceCache,
-            get_trace_cache,
-            set_trace_cache,
-        )
-
-        if get_trace_cache().directory != args.trace_cache:
-            set_trace_cache(TraceCache(args.trace_cache))
-    cost = TestbedCostModel()
+    config, profile_name = _verb_setup(args)
+    try:
+        specs = _standard_specs(config, args.policy)
+    except ValueError as exc:
+        print(f"--policy: {exc}", file=sys.stderr)
+        return 2
     shard_note = None
     if args.shards is not None or args.virtual_partitions is not None:
         import tempfile
@@ -695,14 +579,6 @@ def _run_timeline(args) -> int:
                 "registry across shard engines)",
                 file=sys.stderr,
             )
-            return 2
-        if args.jobs < 1:
-            print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
-            return 2
-        try:
-            specs = _standard_specs(config, cost, args.policy)
-        except ValueError as exc:
-            print(f"--policy: {exc}", file=sys.stderr)
             return 2
         try:
             with tempfile.TemporaryDirectory(prefix="repro-shards-") as scratch:
@@ -719,11 +595,7 @@ def _run_timeline(args) -> int:
         shard_note = _shard_summary_line(comparison)
     else:
         trace = trace_for(config, profile_name)
-        try:
-            architectures = _standard_architectures(config, cost, args.policy)
-        except ValueError as exc:
-            print(f"--policy: {exc}", file=sys.stderr)
-            return 2
+        architectures = [spec.build() for spec in specs]
         registry = MetricsRegistry()
         results = {}
         rows = []
@@ -761,49 +633,6 @@ def _run_timeline(args) -> int:
     if args.prometheus is not None:
         print(f"[prometheus exposition written to {args.prometheus}]")
     return 0
-
-
-def _run_with_profile(names, config, profile_overrides, trace_cache_dir=None):
-    """Sequential path honouring per-experiment ``--profile`` overrides."""
-    from repro.runner.parallel import RunSummary, StageTimings
-    from repro.runner.trace_cache import (
-        TraceCache,
-        TraceCacheStats,
-        get_trace_cache,
-        set_trace_cache,
-    )
-
-    if trace_cache_dir is not None and get_trace_cache().directory != trace_cache_dir:
-        set_trace_cache(TraceCache(trace_cache_dir))
-    results = {}
-    timings = []
-    cache = get_trace_cache()
-    totals = TraceCacheStats()
-    with Stopwatch() as wall:
-        for name in names:
-            run = get_experiment(name)
-            before = cache.stats.snapshot()
-            with Stopwatch() as stopwatch:
-                if name in profile_overrides:
-                    result = run(config, profile_name=profile_overrides[name])
-                else:
-                    result = run(config)
-            delta = cache.stats.since(before)
-            timing = StageTimings(
-                experiment=name,
-                total_s=stopwatch.elapsed,
-                trace_gen_s=delta.generation_seconds,
-                simulate_s=max(0.0, stopwatch.elapsed - delta.generation_seconds),
-                cache=delta,
-            )
-            result.notes.append(timing.note())
-            results[name] = result
-            timings.append(timing)
-            totals.merge(delta)
-    return RunSummary(
-        results=results, timings=timings, cache_stats=totals, jobs=1,
-        wall_s=wall.elapsed,
-    )
 
 
 if __name__ == "__main__":

@@ -25,10 +25,12 @@ results; only wall-clock (and the timing notes derived from it) differs.
 
 from __future__ import annotations
 
+import inspect
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.common.timing import Stopwatch, format_seconds
@@ -131,13 +133,20 @@ def _worker_init(cache_directory: str | None) -> None:
 
 
 def _run_experiment_task(
-    name: str, config: "ExperimentConfig | None"
+    name: str, config: "ExperimentConfig | None", profile_name: str | None = None
 ) -> tuple[str, "ExperimentResult", StageTimings]:
-    """One experiment work unit (runs in a worker or inline for jobs=1)."""
+    """One experiment work unit (runs in a worker or inline for jobs=1).
+
+    ``profile_name`` reaches only experiments whose ``run`` takes it;
+    those that sweep every workload profile run as they would without it.
+    """
     # Imported lazily: the registry pulls in every experiment module, and
     # experiments.base imports this package's trace cache.
     from repro.experiments.registry import get_experiment
 
+    run = get_experiment(name)
+    if profile_name is not None and "profile_name" in inspect.signature(run).parameters:
+        run = partial(run, profile_name=profile_name)
     cache = get_trace_cache()
     before = cache.stats.snapshot()
     profiler = profiling.active()
@@ -147,7 +156,7 @@ def _run_experiment_task(
         else nullcontext()
     )
     with span, Stopwatch() as stopwatch:
-        result = get_experiment(name)(config)
+        result = run(config)
     delta = cache.stats.since(before)
     timings = StageTimings(
         experiment=name,
@@ -167,6 +176,7 @@ def run_experiments(
     jobs: int = 1,
     trace_cache_dir: str | None = None,
     progress: Callable[[StageTimings], None] | None = None,
+    profile_name: str | None = None,
 ) -> RunSummary:
     """Run several experiments, optionally across worker processes.
 
@@ -180,6 +190,9 @@ def run_experiments(
         progress: Called with each experiment's :class:`StageTimings` as it
             completes (completion order, which for ``jobs > 1`` need not be
             input order) -- the CLI streams status lines from this.
+        profile_name: Workload profile for the experiments whose ``run``
+            takes a ``profile_name`` keyword (the CLI's ``--profile``);
+            the others ignore it.
 
     Raises whatever the first failing experiment raised; sibling work units
     already running are allowed to finish, queued ones are cancelled.
@@ -196,7 +209,7 @@ def run_experiments(
     with Stopwatch() as stopwatch:
         if jobs == 1:
             for name in names:
-                _, result, timings = _run_experiment_task(name, config)
+                _, result, timings = _run_experiment_task(name, config, profile_name)
                 outcomes[name] = (result, timings)
                 if progress is not None:
                     progress(timings)
@@ -207,7 +220,7 @@ def run_experiments(
                 initargs=(trace_cache_dir,),
             ) as pool:
                 futures = {
-                    pool.submit(_run_experiment_task, name, config): name
+                    pool.submit(_run_experiment_task, name, config, profile_name): name
                     for name in names
                 }
                 try:

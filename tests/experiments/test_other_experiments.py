@@ -174,6 +174,44 @@ class TestCli:
         # table4 sweeps all traces and takes no profile_name; must not crash.
         assert main(["table4", "--profile", "berkeley", "--scale", "0.0002"]) == 0
 
+    def test_profile_flag_runs_across_workers(self, capsys):
+        def table(stdout):
+            lines = stdout.split("run summary")[0].splitlines()
+            return [
+                line
+                for line in lines
+                if "timing" not in line and "completed in" not in line
+            ]
+
+        argv = ["figure5", "--profile", "prodigy", "--scale", "0.0005"]
+        assert main([*argv, "--jobs", "1"]) == 0
+        serial = capsys.readouterr()
+        assert main([*argv, "--jobs", "2"]) == 0
+        parallel = capsys.readouterr()
+        assert "prodigy trace" in parallel.out
+        assert table(parallel.out) == table(serial.out)
+        assert "forces --jobs 1" not in parallel.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "--timeline", "X"],
+            ["decompose", "--prometheus", "X"],
+            ["decompose", "--out", "X"],
+            ["timeline", "--journeys", "X"],
+            ["timeline", "--out", "X"],
+            ["profile", "--journeys", "X"],
+            ["profile", "--shards", "2"],
+            ["decompose", "--jobs", "0"],
+            ["timeline", "--jobs", "0"],
+        ],
+        ids=lambda argv: "_".join(argv).replace("-", ""),
+    )
+    def test_verb_refuses_a_flag_it_would_ignore(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--scale", "0.0001"]) == 2
+        assert list(tmp_path.iterdir()) == []
+
     def test_decompose_prints_latency_table(self, capsys, tmp_path):
         out = tmp_path / "j.jsonl"
         assert main(["decompose", "--scale", "0.0002", "--journeys", str(out)]) == 0
