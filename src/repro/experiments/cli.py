@@ -8,12 +8,21 @@ Examples::
     python -m repro.experiments figure2 --scale 0.002 --seed 7
     python -m repro.experiments --all --jobs 4 --trace-cache ~/.cache/repro-traces
 
-``--jobs N`` fans independent experiments out across N worker processes;
-``--trace-cache DIR`` persists generated traces content-addressed on disk
-so later runs (and sibling workers) reload instead of regenerating.  Both
-change only wall-clock: results are identical for any job count, and the
-run summary printed at the end shows per-stage timings plus the trace-cache
-counters (a warm-cache run reports ``trace generations this run: 0``).
+Experiments run across one worker process per CPU this process may use
+(``os.sched_getaffinity``, else ``os.cpu_count()``); ``--jobs N`` caps that
+at N and ``--jobs 1`` runs them one after another in this process.  The
+run starts no more workers than it has work units: an experiment and the
+experiments that read its run-scoped memo (``table6`` and ``figure10``
+read ``figure8``'s, ``figure11`` reads ``figure10``'s) form one unit, so
+no result is computed twice, and units start heaviest first.  The
+``decompose``, ``timeline`` and ``profile`` verbs run in one process
+unless ``--jobs`` is given (on ``decompose``/``timeline`` it needs
+``--shards``).  ``--trace-cache DIR`` persists generated traces
+content-addressed on disk so later runs (and sibling workers) reload
+instead of regenerating.  Both change only wall-clock: results and exports
+are identical for any job count, and the run summary printed at the end
+shows per-stage timings plus the trace-cache counters (a warm-cache run
+reports ``trace generations this run: 0``).
 
 Every command -- the experiments and the ``decompose``/``timeline``/
 ``profile`` verbs alike -- simulates with the library default
@@ -27,6 +36,7 @@ repro.audit``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.common.timing import Stopwatch, format_seconds
@@ -59,8 +69,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=None, help="root seed override")
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="run experiments across N worker processes (default 1: in-process)",
+        "--jobs", type=int, default=None, metavar="N",
+        help="most worker processes to run experiments across (default: "
+        "one per CPU this process may use; 1 runs them in this process).  "
+        "The verbs run in one process unless it is given; on "
+        "'decompose'/'timeline' it needs --shards",
     )
     parser.add_argument(
         "--trace-cache", default=None, metavar="DIR",
@@ -151,10 +164,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: Verb-specific flags (argparse ``dest``) and the verbs that take them.
-#: ``main`` refuses any of them on another command before it dispatches,
-#: rather than let that command ignore it.
+#: Command-specific flags (argparse ``dest``) and the commands that take
+#: them: a verb, or ``None`` for a run of named experiments.  ``main``
+#: refuses any of them on another command before it dispatches, rather
+#: than let that command ignore it.
 _VERB_FLAGS = {
+    "export_dir": (None,),
+    "all": (None,),
+    "list": (None,),
+    "chart": (None, "timeline"),
+    "bin": ("timeline", "profile"),
     "out": ("profile",),
     "memory": ("profile",),
     "sim_track": ("profile",),
@@ -182,12 +201,25 @@ def main(argv: list[str] | None = None) -> int:
     for dest, takers in _VERB_FLAGS.items():
         if getattr(args, dest) != parser.get_default(dest) and verb not in takers:
             flag = "--" + dest.replace("_", "-")
-            wording = " or ".join(f"'{taker}'" for taker in takers)
-            print(f"{flag} requires the {wording} verb", file=sys.stderr)
+            verbs = " or ".join(f"'{taker}'" for taker in takers if taker is not None)
+            wording = [f"the {verbs} verb"] if verbs else []
+            if None in takers:
+                wording.insert(0, "a run of experiments")
+            print(f"{flag} requires {' or '.join(wording)}", file=sys.stderr)
             return 2
-    if args.jobs < 1:
+    if args.jobs is not None and args.jobs < 1:
         print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return 2
+    if (
+        verb in ("decompose", "timeline")
+        and args.jobs is not None
+        and args.shards is None
+        and args.virtual_partitions is None
+    ):
+        print(f"--jobs requires --shards with the '{verb}' verb", file=sys.stderr)
+        return 2
+    if args.jobs is None:
+        args.jobs = 1 if verb is not None else _usable_cpus()
     if verb is not None:
         if args.experiments[1:]:
             print(f"'{verb}' takes no experiment names", file=sys.stderr)
@@ -260,8 +292,6 @@ def main(argv: list[str] | None = None) -> int:
             print()
             print(chart)
         if args.export_dir is not None:
-            import os
-
             from repro.reporting.export import save_result
 
             os.makedirs(args.export_dir, exist_ok=True)
@@ -279,6 +309,13 @@ def main(argv: list[str] | None = None) -> int:
 
     print(summary.render())
     return status
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: the default worker count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _config(args):
@@ -412,7 +449,6 @@ def _run_profile(args) -> int:
     timeline beside the host tracks, ``--jobs N`` profiles the worker
     fan-out (one Perfetto process track per worker pid).
     """
-    import os
     import tempfile
 
     from repro.obs import profiling

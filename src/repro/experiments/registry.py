@@ -1,4 +1,9 @@
-"""Registry mapping experiment names to their ``run`` callables."""
+"""Registry mapping experiment names to their ``run`` callables.
+
+It also holds what a parallel run needs to schedule them: which
+experiments read another's run-scoped memo, and the order in which the
+resulting work units start.
+"""
 
 from __future__ import annotations
 
@@ -53,6 +58,43 @@ _REGISTRY: dict[str, Callable[[ExperimentConfig | None], ExperimentResult]] = {
 }
 
 
+#: Reader -> the experiment whose run-scoped memo
+#: (:func:`repro.runner.trace_cache.memoized`) it reads.  A producer is
+#: registered before its readers.
+MEMO_PRODUCERS = {
+    "table6": "figure8",
+    "figure10": "figure8",
+    "figure11": "figure10",
+}
+
+#: Work units start in this order, heaviest first; it changes only
+#: wall-clock.  Measured seconds per experiment (EXPERIMENTS.md, "--all
+#: uses every core") put ``ablations`` first, then the ``figure8`` unit
+#: (``figure10`` is most of it) and ``message_level``.
+START_ORDER = (
+    "ablations",
+    "figure8",
+    "table6",
+    "figure10",
+    "figure11",
+    "message_level",
+    "seed_sensitivity",
+    "failure_sensitivity",
+    "figure5",
+    "figure6",
+    "client_hints",
+    "figure2",
+    "scaling",
+    "queueing_validation",
+    "load_sensitivity",
+    "table5",
+    "figure3",
+    "table4",
+    "table3",
+    "figure1",
+)
+
+
 def all_experiments() -> list[str]:
     """Registered experiment names, in the paper's presentation order."""
     return list(_REGISTRY)
@@ -65,3 +107,30 @@ def get_experiment(name: str) -> Callable[[ExperimentConfig | None], ExperimentR
     except KeyError:
         known = ", ".join(_REGISTRY)
         raise KeyError(f"unknown experiment {name!r}; known: {known}") from None
+
+
+def work_units(names: list[str]) -> list[list[str]]:
+    """Group ``names`` into work units that share no memo, in start order.
+
+    A reader joins the unit of its nearest requested producer (following
+    :data:`MEMO_PRODUCERS` through producers that were not requested), so
+    no memo entry is computed in two processes; a reader requested without
+    any producer computes the cells itself.  A unit's members are in
+    registry order, producers first.  Raises ``KeyError`` for an unknown
+    name.
+    """
+    for name in names:
+        get_experiment(name)
+    requested = set(names)
+
+    def root(name: str) -> str:
+        producer = MEMO_PRODUCERS.get(name)
+        while producer is not None and producer not in requested:
+            producer = MEMO_PRODUCERS.get(producer)
+        return name if producer is None else root(producer)
+
+    units: dict[str, list[str]] = {}
+    for name in _REGISTRY:
+        if name in requested:
+            units.setdefault(root(name), []).append(name)
+    return sorted(units.values(), key=lambda unit: min(map(START_ORDER.index, unit)))

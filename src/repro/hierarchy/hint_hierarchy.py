@@ -334,7 +334,7 @@ class HintHierarchy(Architecture):
         if self.push_policy is not None:
             targets = self.push_policy.on_remote_fetch(
                 now=self._now,
-                request=request,
+                size=size,
                 requester_l1=l1_index,
                 source_l1=holder,
                 lca_level=int(point),
@@ -369,7 +369,7 @@ class HintHierarchy(Architecture):
         if self.push_policy is not None:
             targets = self.push_policy.on_server_fetch(
                 now=self._now,
-                request=request,
+                size=size,
                 requester_l1=l1_index,
                 communication_miss=communication_miss,
                 stale_holders=stale_holders,

@@ -2,9 +2,9 @@
 
 A policy inspects fetch events and returns the L1 proxies that should
 receive an extra replica of the fetched object.  The host architecture
-stores the triggering request's object (id, size and version) at each
-target, charging disk space, and :class:`PushStats` tracks the two
-figures of merit from the paper's Figure 11: *efficiency* (fraction of
+stores the fetched object (id, size and version) at each target,
+charging disk space, and :class:`PushStats` tracks the two figures of
+merit from the paper's Figure 11: *efficiency* (fraction of
 pushed bytes later read before being evicted or invalidated) and
 *bandwidth* (pushed bytes over time, compared against demand bytes).
 """
@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-
-from repro.traces.records import Request
 
 
 class PushPolicy(abc.ABC):
@@ -39,23 +37,24 @@ class PushPolicy(abc.ABC):
     def on_remote_fetch(
         self,
         now: float,
-        request: Request,
+        size: int,
         requester_l1: int,
         source_l1: int,
         lca_level: int,
     ) -> list[int]:
         """Called after a cache-to-cache transfer; returns target L1 ids.
 
-        ``lca_level`` is the metadata-hierarchy level of the least common
-        ancestor of requester and source (2 = same L2 subtree, 3 = across
-        L2 subtrees).
+        ``size`` is the fetched object's size in bytes.  ``lca_level``
+        is the metadata-hierarchy level of the least common ancestor of
+        requester and source (2 = same L2 subtree, 3 = across L2
+        subtrees).
         """
         return []
 
     def on_server_fetch(
         self,
         now: float,
-        request: Request,
+        size: int,
         requester_l1: int,
         communication_miss: bool,
         stale_holders: dict[int, int],

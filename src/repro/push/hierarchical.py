@@ -34,7 +34,6 @@ import numpy as np
 
 from repro.hierarchy.topology import HierarchyTopology
 from repro.push.base import PushPolicy
-from repro.traces.records import Request
 
 #: Aggressiveness settings and the fraction of each subtree they cover.
 _MODES = ("push-1", "push-half", "push-all")
@@ -65,7 +64,7 @@ class HierarchicalPushOnMiss(PushPolicy):
     def on_remote_fetch(
         self,
         now: float,
-        request: Request,
+        size: int,
         requester_l1: int,
         source_l1: int,
         lca_level: int,

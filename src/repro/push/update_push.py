@@ -21,7 +21,6 @@ Adaptivity knobs from the paper:
 from __future__ import annotations
 
 from repro.push.base import PushPolicy
-from repro.traces.records import Request
 
 
 class UpdatePush(PushPolicy):
@@ -58,7 +57,7 @@ class UpdatePush(PushPolicy):
     def on_server_fetch(
         self,
         now: float,
-        request: Request,
+        size: int,
         requester_l1: int,
         communication_miss: bool,
         stale_holders: dict[int, int],
@@ -71,11 +70,11 @@ class UpdatePush(PushPolicy):
         for node in sorted(stale_holders):
             if node == requester_l1:
                 continue
-            if not self._within_budget(now, request.size):
+            if not self._within_budget(now, size):
                 self.discarded_for_rate += 1
                 continue
             targets.append(node)
-            self._bytes_pushed += request.size
+            self._bytes_pushed += size
         return targets
 
     def _within_budget(self, now: float, size: int) -> bool:

@@ -2,9 +2,11 @@
 
 Work units follow the ``(experiment, trace, architecture)`` decomposition:
 
-* :func:`run_experiments` fans whole experiments out -- each of the paper's
-  17 artifacts is independent given a config, so this is the coarse grain
-  that parallelizes the registry-wide ``--all`` run;
+* :func:`run_experiments` fans work units out -- an experiment together
+  with the experiments that read its run-scoped memo
+  (:func:`repro.experiments.registry.work_units`), heaviest unit first --
+  which is the coarse grain that parallelizes the registry-wide ``--all``
+  run;
 * :func:`run_comparison_parallel` fans the architectures of one comparison
   out -- each ``(trace, architecture)`` simulation is independent because
   architectures never share state and traces are shared read-only.
@@ -169,6 +171,14 @@ def _run_experiment_task(
     return name, result, timings
 
 
+def _run_unit_task(
+    names: list[str], config: "ExperimentConfig | None", profile_name: str | None
+) -> list[tuple[str, "ExperimentResult", StageTimings]]:
+    """One work unit: its experiments in order, in one process, so each
+    reader finds its producer's memo entries."""
+    return [_run_experiment_task(name, config, profile_name) for name in names]
+
+
 def run_experiments(
     names: Sequence[str],
     config: "ExperimentConfig | None" = None,
@@ -181,54 +191,68 @@ def run_experiments(
     """Run several experiments, optionally across worker processes.
 
     Args:
-        names: Experiment names from the registry, run/reported in order.
+        names: Experiment names from the registry, reported in this
+            order (an inline run also runs them in it).
         config: Shared experiment config (None = each run defaults it).
-        jobs: Worker processes; 1 runs inline in this process.
+        jobs: Most worker processes to start.  The run starts one per
+            work unit up to ``jobs``; with a single worker it runs inline
+            in this process, in ``names`` order.
         trace_cache_dir: On-disk trace store shared by every participating
-            process.  With ``jobs == 1`` this (re)installs the process-wide
-            active cache pointed at the store.
+            process.  An inline run (re)installs the process-wide active
+            cache pointed at the store.
         progress: Called with each experiment's :class:`StageTimings` as it
-            completes (completion order, which for ``jobs > 1`` need not be
-            input order) -- the CLI streams status lines from this.
+            completes -- in parallel, a unit's experiments as the unit
+            finishes, so not in input order.  The CLI streams status lines
+            from this.
         profile_name: Workload profile for the experiments whose ``run``
             takes a ``profile_name`` keyword (the CLI's ``--profile``);
             the others ignore it.
 
-    Raises whatever the first failing experiment raised; sibling work units
-    already running are allowed to finish, queued ones are cancelled.
+    Raises ``KeyError`` for an unknown name before anything runs, and
+    otherwise whatever the first failing experiment raised; sibling work
+    units already running are allowed to finish, queued ones are
+    cancelled.
     """
+    # Imported lazily: the registry pulls in every experiment module, and
+    # experiments.base imports this package's trace cache.
+    from repro.experiments.registry import work_units
+
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    names = list(names)
+    names = list(dict.fromkeys(names))
+    units = work_units(names)
+    workers = min(jobs, len(units))
     if trace_cache_dir is not None and (
-        jobs == 1 and get_trace_cache().directory != trace_cache_dir
+        workers == 1 and get_trace_cache().directory != trace_cache_dir
     ):
         set_trace_cache(TraceCache(trace_cache_dir))
 
     outcomes: dict[str, tuple["ExperimentResult", StageTimings]] = {}
+
+    def finished(unit: list[tuple[str, "ExperimentResult", StageTimings]]) -> None:
+        for name, result, timings in unit:
+            outcomes[name] = (result, timings)
+            if progress is not None:
+                progress(timings)
+
     with Stopwatch() as stopwatch:
-        if jobs == 1:
+        if workers == 1:
             for name in names:
-                _, result, timings = _run_experiment_task(name, config, profile_name)
-                outcomes[name] = (result, timings)
-                if progress is not None:
-                    progress(timings)
+                finished([_run_experiment_task(name, config, profile_name)])
         else:
             with ProcessPoolExecutor(
-                max_workers=jobs,
+                max_workers=workers,
                 initializer=_worker_init,
                 initargs=(trace_cache_dir,),
             ) as pool:
-                futures = {
-                    pool.submit(_run_experiment_task, name, config, profile_name): name
-                    for name in names
-                }
+                # The pool hands queued units out in submission order.
+                futures = [
+                    pool.submit(_run_unit_task, unit, config, profile_name)
+                    for unit in units
+                ]
                 try:
                     for future in as_completed(futures):
-                        name, result, timings = future.result()
-                        outcomes[name] = (result, timings)
-                        if progress is not None:
-                            progress(timings)
+                        finished(future.result())
                 except BaseException:
                     for future in futures:
                         future.cancel()
@@ -243,7 +267,7 @@ def run_experiments(
         results=results,
         timings=timings,
         cache_stats=totals,
-        jobs=jobs,
+        jobs=workers,
         wall_s=stopwatch.elapsed,
     )
 

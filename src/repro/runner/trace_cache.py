@@ -68,6 +68,8 @@ class TraceCacheStats:
         memory_hits: Requests served from the in-process memo.
         disk_hits: Requests served by deserializing an ``.npz`` file.
         disk_writes: Freshly generated traces persisted to the store.
+        memo_computations: Results computed by :func:`memoized` (a
+            repeat of one key reads the memo and is not counted).
     """
 
     generations: int = 0
@@ -75,6 +77,7 @@ class TraceCacheStats:
     memory_hits: int = 0
     disk_hits: int = 0
     disk_writes: int = 0
+    memo_computations: int = 0
 
     def snapshot(self) -> "TraceCacheStats":
         """An independent copy (for before/after deltas)."""
@@ -88,6 +91,7 @@ class TraceCacheStats:
             memory_hits=self.memory_hits - earlier.memory_hits,
             disk_hits=self.disk_hits - earlier.disk_hits,
             disk_writes=self.disk_writes - earlier.disk_writes,
+            memo_computations=self.memo_computations - earlier.memo_computations,
         )
 
     def merge(self, other: "TraceCacheStats") -> None:
@@ -97,6 +101,7 @@ class TraceCacheStats:
         self.memory_hits += other.memory_hits
         self.disk_hits += other.disk_hits
         self.disk_writes += other.disk_writes
+        self.memo_computations += other.memo_computations
 
     def describe(self) -> str:
         """One-line human rendering for run summaries."""
@@ -104,7 +109,8 @@ class TraceCacheStats:
             f"traces: {self.generations} generated "
             f"({self.generation_seconds:.1f}s), "
             f"{self.memory_hits} memory hits, {self.disk_hits} disk hits, "
-            f"{self.disk_writes} disk writes"
+            f"{self.disk_writes} disk writes, "
+            f"{self.memo_computations} memo computations"
         )
 
 
@@ -277,10 +283,13 @@ def memoized(key, compute: Callable[[], T]) -> T:
     ``figure8``'s cells) without re-running them.  The memo lives and
     dies with the active cache: the CLI process, each parallel worker and
     each benchmark pass install a fresh one, so nothing outlives a run.
-    ``key`` must name every input of ``compute``; values are shared
-    read-only, like the traces.
+    An experiment that reads another's memo is declared in
+    :data:`repro.experiments.registry.MEMO_PRODUCERS`, so a parallel run
+    keeps it in its producer's worker.  ``key`` must name every input of
+    ``compute``; values are shared read-only, like the traces.
     """
-    results = _ACTIVE.results
-    if key not in results:
-        results[key] = compute()
-    return results[key]
+    cache = _ACTIVE
+    if key not in cache.results:
+        cache.results[key] = compute()
+        cache.stats.memo_computations += 1
+    return cache.results[key]

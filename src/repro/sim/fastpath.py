@@ -367,9 +367,6 @@ class _Kernel:
     def __init__(self, architecture: "Architecture", trace: "Trace") -> None:
         self.arch = architecture
         self.columns = columns = trace.columns()
-        # A lazy list: rows materialize only if a journey or a push policy
-        # indexes it.
-        self.requests = trace.requests
         # With a fault plan bound, *every* request takes the architecture's
         # ``_process_faulted`` path when it has one; ``degrades`` says the
         # kernel replays it (tables and hooks read the span's ``state``
@@ -447,9 +444,8 @@ class _Kernel:
         loop (recorded as the pattern-1 default, plus a push-mark check
         for the push variants) and touch only the object, version and
         proxy columns; each miss goes to the kernel's ``_miss`` hook as
-        ``(i, t, oid, version, size, l1, cache, stale)`` -- ``i`` the trace
-        index, ``stale`` whether the L1 lookup invalidated an old copy --
-        which returns its ``(pattern, holder, point)``.  Returns
+        ``(t, oid, version, size, l1, cache, stale)`` -- ``stale`` whether
+        the L1 lookup invalidated an old copy -- which returns its ``(pattern, holder, point)``.  Returns
         ``(misses, found, pushed, down)``: the batch rows that missed,
         their triples flattened, the local hits that consumed a push mark,
         and the dead-proxy rows (an array, or ``None``).
@@ -463,7 +459,6 @@ class _Kernel:
         stale = LookupResult.STALE
         stamp = self.STAMP
         resolve = self._miss
-        indices = idx.tolist()
         times = columns.time[idx].tolist()
         sizes = columns.size[idx].tolist()
         rows, probed, proxies = range(len(idx)), idx, self._l1_all[idx]
@@ -515,8 +510,8 @@ class _Kernel:
                 if outcome is not hit:
                     misses.append(row)
                     emit(resolve(
-                        indices[row], times[row], oid, version, sizes[row],
-                        l1i, cache, outcome is stale,
+                        times[row], oid, version, sizes[row], l1i, cache,
+                        outcome is stale,
                     ))
                     continue
             if marks:
@@ -699,7 +694,7 @@ class HierarchyKernel(_Kernel):
         dead_l2, dead_l3 = self.state.l2, self.state.l3
         dead_probe = self._dead_probe
 
-        def climb(i, t, oid, version, size, l1i, l1, stale):
+        def climb(t, oid, version, size, l1i, l1, stale):
             """Walk L2 -> L3 -> origin; the pattern is the level reached."""
             group = l1i // per
             if dead_l2 and group in dead_l2:
@@ -770,7 +765,7 @@ class IcpKernel(HierarchyKernel):
         dead_probe = self._dead_probe
         climb = super()._miss_hook()
 
-        def miss(i, t, oid, version, size, l1i, l1, stale):
+        def miss(t, oid, version, size, l1i, l1, stale):
             arch.sibling_queries += 1
             waited = 0
             if stalled is not None and stalled[l1i]:
@@ -781,7 +776,7 @@ class IcpKernel(HierarchyKernel):
                     arch.sibling_hits += 1
                     l1.insert(oid, size, version)
                     return 2 + waited, sibling, 0
-            level, _, _ = climb(i, t, oid, version, size, l1i, l1, stale)
+            level, _, _ = climb(t, oid, version, size, l1i, l1, stale)
             return level + 1 + waited, l1i, 0
 
         return miss
@@ -827,7 +822,7 @@ class DirectoryKernel(_Kernel):
         directory_down = arch.DIRECTORY_META_NODE in self.state.meta
         dead_probe = self._dead_probe
 
-        def miss(i, t, oid, version, size, l1i, cache, stale):
+        def miss(t, oid, version, size, l1i, cache, stale):
             if directory_down:
                 dead_probe()
                 cache.insert(oid, size, version)
@@ -944,7 +939,6 @@ class HintKernel(_Kernel):
         push_stats = arch.push_stats
         apply_pushes = arch._apply_pushes
         dist_rows = self._dist_rows
-        requests = self.requests
         faulted = self.faulted
         # ``_process_faulted`` ignores push policies and ideal accounting.
         policy = None if faulted else arch.push_policy
@@ -962,7 +956,7 @@ class HintKernel(_Kernel):
         else:
             announce = inform
 
-        def miss(i, t, oid, version, size, l1i, cache, stale):
+        def miss(t, oid, version, size, l1i, cache, stale):
             lookup = find(t, oid, l1i)
             if policy is not None:
                 # Snapshot stale holders before any probe (the reference's
@@ -996,7 +990,7 @@ class HintKernel(_Kernel):
                         announce(t, oid, l1i, version)
                     if policy is not None:
                         apply_pushes(
-                            policy.on_remote_fetch(t, requests[i], l1i, holder, point),
+                            policy.on_remote_fetch(t, size, l1i, holder, point),
                             oid, size, version,
                         )
                     return pattern, holder, 1 if ideal else point
@@ -1014,7 +1008,7 @@ class HintKernel(_Kernel):
             if policy is not None:
                 apply_pushes(
                     policy.on_server_fetch(
-                        t, requests[i], l1i, stale or bool(stale_holders), stale_holders
+                        t, size, l1i, stale or bool(stale_holders), stale_holders
                     ),
                     oid, size, version,
                 )
@@ -1036,7 +1030,7 @@ class HintKernel(_Kernel):
         draw = arch._rng.random
         dist_rows = self._dist_rows
 
-        def miss(i, t, oid, version, size, l1i, cache, stale):
+        def miss(t, oid, version, size, l1i, cache, stale):
             pattern, holder, point = MISS, -1, 0
             if rate > 0.0 and draw() < rate:
                 pattern = FALSE_NEG
@@ -1071,7 +1065,7 @@ class HintKernel(_Kernel):
         hash_of = arch._hash_of
         dist_rows = self._dist_rows
 
-        def miss(i, t, oid, version, size, l1i, cache, stale):
+        def miss(t, oid, version, size, l1i, cache, stale):
             url_hash = hash_of(oid)
             found = cluster.find_nearest(l1i, url_hash, t)
             holder = found.node if found is not None else None

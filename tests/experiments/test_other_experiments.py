@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.experiments import ablations, client_hints
@@ -204,6 +206,16 @@ class TestCli:
             ["profile", "--shards", "2"],
             ["decompose", "--jobs", "0"],
             ["timeline", "--jobs", "0"],
+            ["decompose", "--export-dir", "EXP", "--chart"],
+            ["decompose", "--all"],
+            ["decompose", "--list"],
+            ["decompose", "--bin", "-5"],
+            ["timeline", "--export-dir", "EXP"],
+            ["profile", "--export-dir", "EXP"],
+            ["profile", "--chart"],
+            ["figure1", "--bin", "5"],
+            ["decompose", "--jobs", "4"],
+            ["timeline", "--jobs", "4"],
         ],
         ids=lambda argv: "_".join(argv).replace("-", ""),
     )
@@ -211,6 +223,18 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         assert main([*argv, "--scale", "0.0001"]) == 2
         assert list(tmp_path.iterdir()) == []
+
+    def test_jobs_defaults_to_the_usable_cpus(self, capsys, monkeypatch, tmp_path):
+        """Experiments get one worker per usable CPU, capped by their work
+        units; a verb runs in one process unless --jobs is given."""
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
+        )
+        assert main(["figure1", "table3"]) == 0
+        assert "run summary (2 jobs)" in capsys.readouterr().out
+        out = str(tmp_path / "profile.json")
+        assert main(["profile", "--scale", "0.0001", "--out", out]) == 0
+        assert "jobs=1" in capsys.readouterr().out
 
     def test_decompose_prints_latency_table(self, capsys, tmp_path):
         out = tmp_path / "j.jsonl"

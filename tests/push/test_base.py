@@ -6,11 +6,6 @@ import pytest
 
 from repro.push.base import PushStats
 from repro.push.nopush import NoPush
-from repro.traces.records import Request
-
-
-def make_request():
-    return Request(time=0.0, client_id=0, object_id=1, size=100, version=0)
 
 
 class TestPushStats:
@@ -40,5 +35,5 @@ class TestPushStats:
 class TestNoPush:
     def test_pushes_nothing_on_any_event(self):
         policy = NoPush()
-        assert policy.on_remote_fetch(0.0, make_request(), 0, 1, 3) == []
-        assert policy.on_server_fetch(0.0, make_request(), 0, True, {1: 0}) == []
+        assert policy.on_remote_fetch(0.0, 100, 0, 1, 3) == []
+        assert policy.on_server_fetch(0.0, 100, 0, True, {1: 0}) == []

@@ -10,18 +10,13 @@ import pytest
 
 from repro.hierarchy.topology import HierarchyTopology
 from repro.push.hierarchical import HierarchicalPushOnMiss
-from repro.traces.records import Request
 
 TOPOLOGY = HierarchyTopology(clients_per_l1=1, l1_per_l2=4, n_l2=3)  # 12 L1s
 
 
-def make_request(obj=1, version=0, size=100):
-    return Request(time=0.0, client_id=0, object_id=obj, size=size, version=version)
-
-
 def targets(policy, requester, source, lca):
     return policy.on_remote_fetch(
-        now=0.0, request=make_request(), requester_l1=requester,
+        now=0.0, size=100, requester_l1=requester,
         source_l1=source, lca_level=lca,
     )
 

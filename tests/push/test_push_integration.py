@@ -10,7 +10,10 @@ from repro.netmodel.model import AccessPoint
 from repro.netmodel.testbed import TestbedCostModel
 from repro.push.hierarchical import HierarchicalPushOnMiss
 from repro.push.update_push import UpdatePush
+from repro.runner.trace_cache import TraceCache
+from repro.sim.engine import run_simulation
 from repro.traces.records import Request
+from tests.conftest import make_tiny_config
 
 TOPOLOGY = HierarchyTopology(clients_per_l1=1, l1_per_l2=2, n_l2=2)
 
@@ -169,3 +172,35 @@ class TestEfficiencyAccounting:
         assert stats.pushed_count == 2
         assert stats.used_count == 1
         assert stats.efficiency == pytest.approx(0.5)
+
+
+class TestStoreLoadedTrace:
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            lambda topology: HierarchicalPushOnMiss(topology, "push-1", seed=0),
+            lambda topology: UpdatePush(),
+        ],
+        ids=["push-1", "update-push"],
+    )
+    def test_fast_engine_builds_no_request_rows(self, policy, tmp_path):
+        """A push policy gets the fetched size, so a trace loaded from the
+        on-disk store stays columnar: no ``Request`` row is built."""
+        config = make_tiny_config()
+        profile = config.profile("dec")
+        in_memory = TraceCache(tmp_path).get(profile, config.seed)
+        loaded = TraceCache(tmp_path).get(profile, config.seed)
+        assert not loaded.requests.materialized
+
+        def run(trace):
+            arch = HintHierarchy(
+                config.topology, TestbedCostModel(), push_policy=policy(config.topology)
+            )
+            return run_simulation(trace, arch, engine="fast"), arch.push_stats
+
+        stored, stored_pushes = run(loaded)
+        assert not loaded.requests.materialized
+        expected, expected_pushes = run(in_memory)
+        assert expected_pushes.pushed_count > 0
+        assert stored == expected
+        assert stored_pushes == expected_pushes

@@ -5,13 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.push.update_push import UpdatePush
-from repro.traces.records import Request
-
-
-def make_request(obj=1, version=1, size=100, time=0.0):
-    return Request(
-        time=time, client_id=0, object_id=obj, size=size, version=version
-    )
 
 
 class TestTargeting:
@@ -19,7 +12,7 @@ class TestTargeting:
         policy = UpdatePush()
         targets = policy.on_server_fetch(
             now=0.0,
-            request=make_request(version=2),
+            size=100,
             requester_l1=0,
             communication_miss=True,
             stale_holders={3: 1, 5: 0},
@@ -30,7 +23,7 @@ class TestTargeting:
         policy = UpdatePush()
         targets = policy.on_server_fetch(
             now=0.0,
-            request=make_request(version=2),
+            size=100,
             requester_l1=3,
             communication_miss=True,
             stale_holders={3: 1, 5: 0},
@@ -42,7 +35,7 @@ class TestTargeting:
         assert (
             policy.on_server_fetch(
                 now=0.0,
-                request=make_request(),
+                size=100,
                 requester_l1=0,
                 communication_miss=False,
                 stale_holders={},
@@ -52,7 +45,7 @@ class TestTargeting:
 
     def test_ignores_remote_fetches(self):
         policy = UpdatePush()
-        assert policy.on_remote_fetch(0.0, make_request(), 0, 1, 3) == []
+        assert policy.on_remote_fetch(0.0, 100, 0, 1, 3) == []
 
 
 class TestRateLimit:
@@ -61,7 +54,7 @@ class TestRateLimit:
         # First event at t=0: elapsed is clamped to 1 s -> 100 B budget.
         targets = policy.on_server_fetch(
             now=0.0,
-            request=make_request(version=2, size=80),
+            size=80,
             requester_l1=0,
             communication_miss=True,
             stale_holders={1: 0, 2: 0, 3: 0},
@@ -72,11 +65,11 @@ class TestRateLimit:
     def test_budget_recovers_over_time(self):
         policy = UpdatePush(max_bandwidth_bytes_per_s=100.0)
         policy.on_server_fetch(
-            now=0.0, request=make_request(version=2, size=80),
+            now=0.0, size=80,
             requester_l1=0, communication_miss=True, stale_holders={1: 0},
         )
         later = policy.on_server_fetch(
-            now=100.0, request=make_request(obj=2, version=2, size=80),
+            now=100.0, size=80,
             requester_l1=0, communication_miss=True, stale_holders={2: 0},
         )
         assert len(later) == 1

@@ -9,21 +9,32 @@ equality check).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
+from repro.experiments.registry import (
+    MEMO_PRODUCERS,
+    START_ORDER,
+    all_experiments,
+    get_experiment,
+    work_units,
+)
 from repro.hierarchy.data_hierarchy import DataHierarchy
 from repro.hierarchy.directory_arch import CentralizedDirectoryArchitecture
 from repro.hierarchy.hint_hierarchy import HintHierarchy
 from repro.netmodel.testbed import TestbedCostModel
 from repro.runner.parallel import run_comparison_parallel, run_experiments
 from repro.runner.specs import ArchitectureSpec
-from repro.runner.trace_cache import TraceCache, cached_trace
+from repro.runner.trace_cache import TraceCache, cached_trace, set_trace_cache
 from repro.sim.engine import run_comparison
 from tests.conftest import make_tiny_config
 
 #: A cheap cross-section of the registry: a characterization table, a
 #: figure sweep, and an experiment that builds custom per-row profiles.
 EXPERIMENTS = ["table4", "figure3", "scaling"]
+#: The experiments that share run-scoped memo entries: one work unit.
+MEMO_GROUP = ["figure8", "table6", "figure10", "figure11"]
 
 
 def strip_timing(result):
@@ -37,18 +48,51 @@ def strip_timing(result):
     )
 
 
+@contextmanager
+def fresh_cache():
+    """A fresh active trace cache (empty memo), as a new CLI process has."""
+    cache = TraceCache()
+    previous = set_trace_cache(cache)
+    try:
+        yield cache
+    finally:
+        set_trace_cache(previous)
+
+
 class TestRunExperiments:
     def test_jobs4_identical_to_jobs1(self, tmp_path):
         config = make_tiny_config()
-        sequential = run_experiments(EXPERIMENTS, config, jobs=1)
+        names = EXPERIMENTS + MEMO_GROUP
+        sequential = run_experiments(names, config, jobs=1)
         parallel = run_experiments(
-            EXPERIMENTS, config, jobs=4, trace_cache_dir=str(tmp_path / "store")
+            names, config, jobs=4, trace_cache_dir=str(tmp_path / "store")
         )
-        assert list(sequential.results) == list(parallel.results) == EXPERIMENTS
-        for name in EXPERIMENTS:
+        assert list(sequential.results) == list(parallel.results) == names
+        for name in names:
             assert strip_timing(sequential.results[name]) == strip_timing(
                 parallel.results[name]
             ), name
+
+    def test_no_memo_entry_is_computed_twice_at_any_job_count(self, tmp_path):
+        """The memo's readers run in their producer's worker: the run
+        computes each shared entry once, as the in-process run does."""
+        config = make_tiny_config()
+        names = ["table4", *MEMO_GROUP]
+        store = str(tmp_path / "store")
+        counts = {}
+        for jobs in (1, 2, 3):
+            with fresh_cache():
+                summary = run_experiments(
+                    names, config, jobs=jobs, trace_cache_dir=store
+                )
+            counts[jobs] = summary.cache_stats.memo_computations
+            assert summary.jobs == min(jobs, 2)
+        assert counts[1] > 0
+        assert counts[2] == counts[3] == counts[1]
+
+    def test_one_work_unit_runs_inline(self):
+        summary = run_experiments(["figure8", "table6"], make_tiny_config(), jobs=4)
+        assert summary.jobs == 1
 
     def test_timing_notes_and_summary(self):
         config = make_tiny_config()
@@ -80,6 +124,40 @@ class TestRunExperiments:
     def test_worker_failure_propagates(self):
         with pytest.raises(KeyError, match="unknown experiment"):
             run_experiments(["no_such_experiment"], make_tiny_config(), jobs=2)
+
+
+class TestWorkUnits:
+    def test_edges_and_start_order_name_registered_experiments(self):
+        registered = all_experiments()
+        for reader, producer in MEMO_PRODUCERS.items():
+            assert registered.index(producer) < registered.index(reader)
+        assert sorted(START_ORDER) == sorted(registered)
+
+    @pytest.mark.parametrize("reader", sorted(MEMO_PRODUCERS))
+    def test_reader_after_its_producer_computes_no_shared_entry(self, reader):
+        """Run alone, a reader computes some of its producer's memo entries
+        itself; run after the producer on one trace cache, it computes none
+        of them.  An edge naming the wrong producer shares no entry."""
+        config = make_tiny_config()
+        with fresh_cache() as cache:
+            get_experiment(MEMO_PRODUCERS[reader])(config)
+            produced = set(cache.results)
+            before = cache.stats.snapshot()
+            get_experiment(reader)(config)
+            after = cache.stats.since(before).memo_computations
+        with fresh_cache() as alone:
+            get_experiment(reader)(config)
+        shared = produced & set(alone.results)
+        assert shared
+        assert after == alone.stats.memo_computations - len(shared)
+
+    def test_readers_join_their_nearest_requested_producer(self):
+        assert work_units(["table4", "figure11", "figure8"]) == [
+            ["figure8", "figure11"],
+            ["table4"],
+        ]
+        assert work_units(["table6"]) == [["table6"]]
+        assert work_units(all_experiments())[0] == [START_ORDER[0]]
 
 
 class TestRunComparisonParallel:
