@@ -52,7 +52,6 @@ class OracleLRUCache:
         self.insertions = 0
         self.evictions = 0
         self.invalidations = 0
-        self._ever_stored: dict[int, int] = {}
         self.oversize_rejections: set[int] = set()
 
     # -- inspection ----------------------------------------------------
@@ -73,9 +72,6 @@ class OracleLRUCache:
             if entry_key == key:
                 return size, version
         return None
-
-    def ever_stored_version(self, key: int) -> int | None:
-        return self._ever_stored.get(key)
 
     def _index(self, key: int) -> int:
         for i, entry in enumerate(self._entries):
@@ -103,7 +99,6 @@ class OracleLRUCache:
             if i >= 0 and self._entries[i][2] < version:
                 del self._entries[i]
                 self.invalidations += 1
-            self._ever_stored[key] = max(self._ever_stored.get(key, -1), version)
             self.oversize_rejections.add(key)
             return []
         i = self._index(key)
@@ -111,7 +106,6 @@ class OracleLRUCache:
             del self._entries[i]
         self._entries.append([key, size, version])
         self.insertions += 1
-        self._ever_stored[key] = max(self._ever_stored.get(key, -1), version)
         self.oversize_rejections.discard(key)
         evicted: list[int] = []
         if self.capacity_bytes is not None:

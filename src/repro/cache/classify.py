@@ -96,12 +96,17 @@ class MissClassifier:
 
     The classifier owns the cache: :meth:`access` performs the lookup,
     classifies the outcome, inserts the object on (cacheable, non-error)
-    misses, and updates the counters.
+    misses, and updates the counters.  Because it makes every insert, it
+    also records the highest version it ever inserted per object --
+    oversize inserts the cache refused included -- which tells a capacity
+    miss (stored before at this version) from a compulsory one (never
+    stored).
     """
 
     def __init__(self, cache: LRUCache) -> None:
         self.cache = cache
         self.counts = MissCounts()
+        self._stored_version: dict[int, int] = {}
 
     def access(self, request: Request) -> AccessOutcome:
         """Process one trace record; returns its classified outcome."""
@@ -119,16 +124,17 @@ class MissClassifier:
         if result is LookupResult.HIT:
             return AccessOutcome(hit=True)
 
+        last_version = self._stored_version.get(request.object_id)
         if result is LookupResult.STALE:
             miss_class = MissClass.COMMUNICATION
+        elif last_version is None:
+            miss_class = MissClass.COMPULSORY
+        elif last_version < request.version:
+            # The evicted copy would have been invalidated anyway.
+            miss_class = MissClass.COMMUNICATION
         else:
-            last_version = self.cache.ever_stored_version(request.object_id)
-            if last_version is None:
-                miss_class = MissClass.COMPULSORY
-            elif last_version < request.version:
-                # The evicted copy would have been invalidated anyway.
-                miss_class = MissClass.COMMUNICATION
-            else:
-                miss_class = MissClass.CAPACITY
+            miss_class = MissClass.CAPACITY
         self.cache.insert(request.object_id, request.size, request.version)
+        if last_version is None or last_version < request.version:
+            self._stored_version[request.object_id] = request.version
         return AccessOutcome(hit=False, miss_class=miss_class)

@@ -7,6 +7,14 @@ object versions: a lookup that finds an entry with an older version counts
 as a *stale hit*, the cached copy is invalidated, and the caller treats the
 access as a communication miss.
 
+Entries are stored as plain integers, never as one Python object per
+entry: the recency-ordered map holds each key's stored version and a plain
+dict holds its size.  Integers are not tracked by CPython's cyclic garbage
+collector, so an unbounded cache that keeps every fetched object adds no
+tracked object per insert, and a full collection does not walk its
+contents.  :meth:`LRUCache.peek` and the ``on_evict`` callback still hand
+out a :class:`CacheEntry`, built on demand.
+
 Replacement policy is factored into four override points (``_touch``,
 ``_victim_key``, ``_note_add``/``_note_remove``/``_note_clear``) so
 :mod:`repro.cache.policy` can derive LFU and Random variants without
@@ -25,7 +33,11 @@ from typing import Callable, Iterator
 
 @dataclass(slots=True)
 class CacheEntry:
-    """One cached object: its size in bytes and the version stored."""
+    """One cached object: its size in bytes and the version stored.
+
+    A snapshot handed out by :meth:`LRUCache.peek` and to ``on_evict``
+    callbacks; the cache itself stores plain integers.
+    """
 
     size: int
     version: int
@@ -66,17 +78,17 @@ class LRUCache:
             raise ValueError(f"capacity must be non-negative, got {capacity_bytes}")
         self.capacity_bytes = capacity_bytes
         self._on_evict = on_evict
-        self._entries: OrderedDict[int, CacheEntry] = OrderedDict()
+        # key -> stored version, in recency order (least recent first), and
+        # key -> size in bytes.  Plain ints: no GC-tracked object per entry.
+        # The fast engine's unbounded-L1 probe reads ``_entries`` directly.
+        self._entries: OrderedDict[int, int] = OrderedDict()
+        self._sizes: dict[int, int] = {}
         self._used_bytes = 0
         #: Lifetime churn counters (monotone; plain ints so the hot path
         #: pays one addition -- telemetry reads them via callbacks).
         self.insertions = 0
         self.evictions = 0  # capacity evictions only
         self.invalidations = 0  # consistency invalidations (incl. stale hits)
-        # Objects this cache has ever stored, with the last stored version;
-        # the miss classifier uses it to tell capacity misses (seen before,
-        # same version) from compulsory misses (never seen).
-        self._ever_stored: dict[int, int] = {}
         #: Keys whose *latest* insert was refused for exceeding capacity.
         #: Holder bookkeeping outside the cache (hint informs) may still
         #: advertise these, so audits exempt them from presence checks.
@@ -114,22 +126,21 @@ class LRUCache:
         return self._used_bytes
 
     def peek(self, key: int) -> CacheEntry | None:
-        """Return the entry for ``key`` without touching LRU order."""
-        return self._entries.get(key)
-
-    def ever_stored_version(self, key: int) -> int | None:
-        """Last version ever stored for ``key``, or None if never stored."""
-        return self._ever_stored.get(key)
+        """Snapshot of the entry for ``key`` without touching LRU order."""
+        version = self._entries.get(key)
+        if version is None:
+            return None
+        return CacheEntry(self._sizes[key], version)
 
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
     def lookup(self, key: int, version: int) -> LookupResult:
         """Version-aware lookup; promotes on hit, invalidates stale copies."""
-        entry = self._entries.get(key)
-        if entry is None:
+        stored = self._entries.get(key)
+        if stored is None:
             return LookupResult.MISS
-        if entry.version < version:
+        if stored < version:
             self._delete(key, "invalidate")
             return LookupResult.STALE
         self._touch(key)
@@ -140,27 +151,25 @@ class LRUCache:
         if size < 0:
             raise ValueError(f"object size must be non-negative, got {size}")
         if self.capacity_bytes is not None and size > self.capacity_bytes:
-            # Uncacheably large for this cache; record the sighting anyway.
-            # A surviving *older* copy under the same key is invalid now
-            # (strong consistency: the object changed), so it must not
-            # keep serving hits -- invalidate it on the way out.
+            # Uncacheably large for this cache.  A surviving *older* copy
+            # under the same key is invalid now (strong consistency: the
+            # object changed), so it must not keep serving hits --
+            # invalidate it on the way out.
             stale = self._entries.get(key)
-            if stale is not None and stale.version < version:
+            if stale is not None and stale < version:
                 self._delete(key, "invalidate")
-            self._ever_stored[key] = max(self._ever_stored.get(key, -1), version)
             self.oversize_rejections.add(key)
             if self.audit is not None:
                 self.audit.check_cache_bounds(self)
             return []
         existing = self._entries.pop(key, None)
         if existing is not None:
-            self._used_bytes -= existing.size
-        self._entries[key] = CacheEntry(size=size, version=version)
+            self._used_bytes -= self._sizes[key]
+        self._entries[key] = version
+        self._sizes[key] = size
         self._used_bytes += size
         self.insertions += 1
         self._note_add(key, new=existing is None)
-        if version > self._ever_stored.get(key, -1):
-            self._ever_stored[key] = version
         self.oversize_rejections.discard(key)
         if self.capacity_bytes is not None and self._used_bytes > self.capacity_bytes:
             evicted = self._evict_to_fit(protect=key)
@@ -208,6 +217,7 @@ class LRUCache:
                 self._delete(key, reason)
         else:
             self._entries.clear()
+            self._sizes.clear()
             self._used_bytes = 0
             self._note_clear()
         return keys
@@ -259,12 +269,13 @@ class LRUCache:
         return evicted
 
     def _delete(self, key: int, reason: str) -> None:
-        entry = self._entries.pop(key)
-        self._used_bytes -= entry.size
+        version = self._entries.pop(key)
+        size = self._sizes.pop(key)
+        self._used_bytes -= size
         self._note_remove(key)
         if reason == "capacity":
             self.evictions += 1
         elif reason == "invalidate":
             self.invalidations += 1
         if self._on_evict is not None:
-            self._on_evict(key, entry, reason)
+            self._on_evict(key, CacheEntry(size, version), reason)

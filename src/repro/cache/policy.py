@@ -75,8 +75,6 @@ class ReplacementPolicy(Protocol):
 
     def peek(self, key: int) -> CacheEntry | None: ...
 
-    def ever_stored_version(self, key: int) -> int | None: ...
-
     def touch_lru_demote(self, key: int) -> None: ...
 
     def __len__(self) -> int: ...

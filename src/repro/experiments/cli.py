@@ -553,17 +553,20 @@ def _run_decompose(args) -> int:
         print(_shard_summary_line(comparison))
         return 0
     trace = trace_for(config, profile_name)
-    architectures = [spec.build() for spec in specs]
     sink = (
         JsonlJourneySink(args.journeys) if args.journeys is not None else JourneySink()
     )
     results = {}
     with sink:
-        for architecture in architectures:
+        # One architecture alive at a time: each is built, run and
+        # dropped before the next is built.
+        for spec in specs:
+            architecture = spec.build()
             sink.architecture = architecture.name
             results[architecture.name] = run_simulation(
                 trace, architecture, journey_sink=sink
             )
+            del architecture
     print(
         format_decomposition_table(
             results,

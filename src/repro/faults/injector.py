@@ -20,6 +20,7 @@ one process or across the parallel runner's workers.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -83,7 +84,10 @@ class FaultInjector:
         self.hint_loss_prob = 0.0
         self.hint_delay_skew_s = 0.0
         self._rng = np.random.default_rng([plan.seed, 0x0FAB17])
-        self._bound: list["Architecture"] = []
+        # Weak references, in bind order: a bound architecture holds this
+        # injector (``architecture.faults``), so a strong reference back
+        # would make every faulted architecture a reference cycle.
+        self._bound: list["weakref.ref[Architecture]"] = []
         self.stats = FaultStats()
         self.now = 0.0
         #: Sticky: True once any event fired that can desynchronize hint
@@ -98,10 +102,19 @@ class FaultInjector:
     # wiring
     # ------------------------------------------------------------------
     def bind(self, architecture: "Architecture") -> None:
-        """Attach to an architecture: it will see crash/recover callbacks."""
-        if architecture not in self._bound:
-            self._bound.append(architecture)
+        """Attach to an architecture: it will see crash/recover callbacks.
+
+        The injector holds the architecture weakly, so binding never keeps
+        it alive.
+        """
+        if all(ref() is not architecture for ref in self._bound):
+            self._bound.append(weakref.ref(architecture))
         architecture.attach_faults(self)
+
+    def _architectures(self) -> list["Architecture"]:
+        """The bound architectures still alive, in bind order."""
+        alive = (ref() for ref in self._bound)
+        return [architecture for architecture in alive if architecture is not None]
 
     # ------------------------------------------------------------------
     # time
@@ -128,14 +141,14 @@ class FaultInjector:
             if key not in self._down:
                 self._down.add(key)
                 self.stats.crashes += 1
-                for architecture in self._bound:
+                for architecture in self._architectures():
                     architecture.on_fault_crash(event.kind, event.node)
         elif isinstance(event, NodeRecover):
             key = (event.kind, event.node)
             if key in self._down:
                 self._down.discard(key)
                 self.stats.recoveries += 1
-                for architecture in self._bound:
+                for architecture in self._architectures():
                     architecture.on_fault_recover(event.kind, event.node)
         elif isinstance(event, HintBatchLoss):
             self.hint_loss_prob = event.prob

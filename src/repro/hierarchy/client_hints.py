@@ -17,6 +17,8 @@ proxy-level directory knows about.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from repro.cache.lru import LookupResult
@@ -140,8 +142,11 @@ class ClientHintHierarchy(Architecture):
         self.directory.inform(self._now, request.object_id, l1_index, request.version)
 
     def _eviction_callback(self, node: int):
+        # A weak proxy: the architecture owns the caches (no cycle).
+        arch = weakref.proxy(self)
+
         def on_evict(key: int, entry, reason: str) -> None:
-            self.directory.retract(self._now, key, node)
+            arch.directory.retract(arch._now, key, node)
 
         return on_evict
 

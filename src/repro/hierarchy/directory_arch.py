@@ -15,6 +15,8 @@ L3 distance.
 
 from __future__ import annotations
 
+import weakref
+
 from repro.cache.lru import LookupResult
 from repro.cache.policy import PolicySpec
 from repro.hierarchy.base import AccessResult, Architecture, build_l1_caches
@@ -123,8 +125,11 @@ class CentralizedDirectoryArchitecture(Architecture):
         self.directory.inform(self._now, request.object_id, l1_index, request.version)
 
     def _eviction_callback(self, node: int):
+        # A weak proxy: the architecture owns the caches (no cycle).
+        arch = weakref.proxy(self)
+
         def on_evict(key: int, entry, reason: str) -> None:
-            self.directory.retract(self._now, key, node)
+            arch.directory.retract(arch._now, key, node)
 
         return on_evict
 

@@ -25,6 +25,8 @@ charged as a local hit and the replicas consume no space).
 
 from __future__ import annotations
 
+import weakref
+
 from repro.cache.lru import CacheEntry, LookupResult
 from repro.cache.policy import PolicySpec
 from repro.hierarchy.base import AccessResult, Architecture, build_l1_caches
@@ -426,17 +428,21 @@ class HintHierarchy(Architecture):
         if pushed_version is None or pushed_version < version:
             return False
         self.push_stats.used_count += 1
-        size = self.l1_caches[node].peek(oid).size if self.l1_caches[node].peek(oid) else 0
-        self.push_stats.used_bytes += size
+        entry = self.l1_caches[node].peek(oid)
+        self.push_stats.used_bytes += entry.size if entry is not None else 0
         return True
 
     def _eviction_callback(self, node: int):
+        # A weak proxy: the caches this callback is installed in belong to
+        # the architecture, so a strong reference would make it a cycle.
+        arch = weakref.proxy(self)
+
         def on_evict(key: int, entry: CacheEntry, reason: str) -> None:
-            self.directory.retract(self._now, key, node)
-            pushed_version = self._pending_push.pop((node, key), None)
+            arch.directory.retract(arch._now, key, node)
+            pushed_version = arch._pending_push.pop((node, key), None)
             if pushed_version is not None:
-                self.push_stats.wasted_count += 1
-                self.push_stats.wasted_bytes += entry.size
+                arch.push_stats.wasted_count += 1
+                arch.push_stats.wasted_bytes += entry.size
 
         return on_evict
 

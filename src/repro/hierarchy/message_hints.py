@@ -25,6 +25,8 @@ the modeled directory.
 
 from __future__ import annotations
 
+import weakref
+
 from repro.cache.lru import CacheEntry, LookupResult
 from repro.cache.policy import PolicySpec
 from repro.common.ids import object_id_from_url
@@ -165,8 +167,11 @@ class MessageLevelHintHierarchy(Architecture):
         )
 
     def _eviction_callback(self, node: int):
+        # A weak proxy: the architecture owns the caches (no cycle).
+        arch = weakref.proxy(self)
+
         def on_evict(key: int, entry: CacheEntry, reason: str) -> None:
-            self.cluster.local_invalidate(node, self._hash_of(key), self._now)
+            arch.cluster.local_invalidate(node, arch._hash_of(key), arch._now)
 
         return on_evict
 

@@ -45,7 +45,7 @@ from repro.runner.trace_cache import (
     get_trace_cache,
     set_trace_cache,
 )
-from repro.sim.engine import run_comparison, run_simulation
+from repro.sim.engine import run_simulation
 from repro.sim.metrics import SimMetrics
 from repro.traces.profiles import WorkloadProfile
 
@@ -430,6 +430,11 @@ def run_comparison_parallel(
     expensive objects are built where they are used.  Results are keyed by
     architecture name in spec order, exactly like ``run_comparison``.
 
+    Every spec runs as one work unit that builds its architecture, runs
+    it and drops it.  At ``jobs=1`` the units run in turn in this
+    process, so one architecture is alive at a time: a finished
+    architecture and its caches are freed before the next is built.
+
     ``fault_plan`` (a pure value, picklable) rides along to every worker;
     each architecture's simulation replays it with a fresh injector, so
     faulted comparisons are as deterministic -- and as jobs-invariant --
@@ -490,16 +495,6 @@ def run_comparison_parallel(
     )
     with comparison_span as parent:
         if jobs == 1:
-            if not profiled and journey_dir is None and timeline_dir is None:
-                trace = cached_trace(profile, seed)
-                return run_comparison(
-                    trace,
-                    [spec.build() for spec in specs],
-                    warmup_s=warmup_s,
-                    include_uncachable=include_uncachable,
-                    fault_plan=fault_plan,
-                    engine=engine,
-                )
             outcomes = [
                 _comparison_task(
                     profile,

@@ -388,7 +388,8 @@ class _Kernel:
         # skipped and the lookup becomes one dict probe.  STALE rows still
         # take the real lookup, MISS rows the real inserts, and *bounded*
         # caches take the real calls for every row -- that is what keeps
-        # the kernels policy-agnostic (module docstring).  (Crash events
+        # the kernels policy-agnostic (module docstring).  ``_entries``
+        # maps each key to its stored version (an int).  (Crash events
         # empty ``_entries`` in place, so the dict references stay valid
         # across fault windows.)
         self._l1_entries = [
@@ -494,8 +495,8 @@ class _Kernel:
             entries = l1_entries[l1i]
             if (
                 entries is None
-                or (entry := entries.get(oid)) is None
-                or entry.version < version
+                or (stored := entries.get(oid)) is None
+                or stored < version
             ):
                 if stamp:
                     arch._now = times[row]
@@ -504,7 +505,7 @@ class _Kernel:
                 # to invalidate a stale copy (an absent key is a plain miss).
                 outcome = (
                     cache.lookup(oid, version)
-                    if entries is None or entry is not None
+                    if entries is None or stored is not None
                     else miss
                 )
                 if outcome is not hit:

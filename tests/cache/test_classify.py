@@ -62,6 +62,42 @@ class TestClassification:
         outcome = classifier.access(make_request(cacheable=False))
         assert outcome.miss_class is MissClass.UNCACHABLE
 
+    def test_oversize_sighting_counts_as_stored(self):
+        # The cache refuses the object, but the classifier saw it stored
+        # at this version: the repeat is a capacity miss, not compulsory.
+        classifier = MissClassifier(LRUCache(100))
+        first = classifier.access(make_request(obj=1, size=500))
+        assert first.miss_class is MissClass.COMPULSORY
+        assert 1 not in classifier.cache
+        outcome = classifier.access(make_request(obj=1, size=500))
+        assert outcome.miss_class is MissClass.CAPACITY
+
+    def test_capacity_miss_compares_the_highest_version_stored(self):
+        # Version 2 is stored, then an older request stores version 1
+        # after an eviction; version 2 is still the one ever stored, so a
+        # later version-2 miss is a capacity miss, not a communication one.
+        classifier = MissClassifier(LRUCache(150))
+        classifier.access(make_request(obj=1, version=2))
+        classifier.access(make_request(obj=2))  # evicts 1
+        older = classifier.access(make_request(obj=1, version=1))
+        assert older.miss_class is MissClass.CAPACITY
+        classifier.access(make_request(obj=2))  # evicts 1 again
+        outcome = classifier.access(make_request(obj=1, version=2))
+        assert outcome.miss_class is MissClass.CAPACITY
+
+    def test_oversize_update_records_its_version(self):
+        # An update too large to cache invalidates the old copy; its
+        # version still counts as stored, so repeating it is a capacity
+        # miss rather than another communication miss.
+        classifier = MissClassifier(LRUCache(100))
+        classifier.access(make_request(obj=7, size=50, version=1))
+        assert classifier.access(make_request(obj=7, size=50, version=1)).hit
+        update = classifier.access(make_request(obj=7, size=200, version=2))
+        assert update.miss_class is MissClass.COMMUNICATION
+        assert 7 not in classifier.cache
+        outcome = classifier.access(make_request(obj=7, size=200, version=2))
+        assert outcome.miss_class is MissClass.CAPACITY
+
 
 class TestCounts:
     def test_ratios(self, classifier):

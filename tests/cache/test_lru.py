@@ -71,8 +71,6 @@ class TestEviction:
         cache = LRUCache(100)
         assert cache.insert(1, 500, 0) == []
         assert 1 not in cache
-        # ...but the sighting is recorded for miss classification.
-        assert cache.ever_stored_version(1) == 0
 
     def test_infinite_capacity_never_evicts(self):
         cache = LRUCache(None)
@@ -102,12 +100,6 @@ class TestVersioning:
         cache = LRUCache(1000)
         cache.insert(1, 100, version=5)
         assert cache.lookup(1, version=3) is LookupResult.HIT
-
-    def test_ever_stored_tracks_max_version(self):
-        cache = LRUCache(1000)
-        cache.insert(1, 100, version=2)
-        cache.insert(1, 100, version=1)
-        assert cache.ever_stored_version(1) == 2
 
     def test_touch_lru_demote_moves_to_front_of_eviction(self):
         cache = LRUCache(300)

@@ -18,6 +18,7 @@ Three groups:
 
 from __future__ import annotations
 
+import gc
 from collections import OrderedDict
 
 import pytest
@@ -155,6 +156,24 @@ class TestConformance:
         # The cache keeps working after a crash-style clear.
         cache.insert(7, 100, 0)
         assert cache.lookup(7, 0) is LookupResult.HIT
+
+
+@pytest.mark.parametrize("capacity", [None, 10**9], ids=["unbounded", "bounded"])
+@pytest.mark.parametrize("name", POLICY_NAMES)
+def test_entries_add_no_gc_tracked_objects(name, capacity):
+    """A cache stores plain integers, not one object per entry.
+
+    A full collection walks every object the cyclic garbage collector
+    tracks, so a tracked object per entry would make every collection
+    slower as the paper's unbounded caches fill up.
+    """
+    cache = SPECS[name].build(capacity)
+    gc.collect()
+    before = len(gc.get_objects())
+    for key in range(10_000):
+        cache.insert(key, 100, 0)
+    assert len(cache) == 10_000
+    assert len(gc.get_objects()) - before < 100
 
 
 class TestLFU:

@@ -7,9 +7,12 @@ distance class and both miss regimes.
 
 from __future__ import annotations
 
+import weakref
+
 import pytest
 
 from repro.hierarchy.topology import HierarchyTopology
+from repro.runner.specs import ArchitectureSpec
 from repro.sim.config import ExperimentConfig
 from repro.traces.records import Trace
 from repro.traces.synthetic import SyntheticTraceGenerator
@@ -37,6 +40,28 @@ def make_tiny_config(**overrides) -> ExperimentConfig:
     )
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
+
+
+class LiveBuilds:
+    """Counts, at each build of a wrapped spec, the earlier builds alive.
+
+    ``wrap(specs)`` returns specs that build through this object; after a
+    run, ``alive_at_build`` holds one count per build.  A run that keeps
+    one architecture alive at a time reads all zeros.
+    """
+
+    def __init__(self) -> None:
+        self._built: list[weakref.ref] = []
+        self.alive_at_build: list[int] = []
+
+    def wrap(self, specs):
+        return [ArchitectureSpec(self._build, (spec,)) for spec in specs]
+
+    def _build(self, spec):
+        self.alive_at_build.append(sum(ref() is not None for ref in self._built))
+        architecture = spec.build()
+        self._built.append(weakref.ref(architecture))
+        return architecture
 
 
 @pytest.fixture(scope="session")

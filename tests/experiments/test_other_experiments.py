@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import os
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from repro.experiments import ablations, client_hints
 from repro.experiments.cli import main
 from repro.experiments.registry import all_experiments, get_experiment
-from tests.conftest import make_tiny_config
+from tests.conftest import LiveBuilds, make_tiny_config
 
 
 class TestClientHints:
@@ -249,6 +250,21 @@ class TestCli:
 
         arches = {_json.loads(line)["arch"] for line in lines}
         assert arches == {"hierarchy", "icp", "hints", "directory"}
+
+    def test_decompose_keeps_one_architecture_alive(self, capsys, monkeypatch):
+        from repro.experiments import cli
+
+        live = LiveBuilds()
+        standard = cli._standard_specs
+        monkeypatch.setattr(
+            cli, "_standard_specs", lambda *args: live.wrap(standard(*args))
+        )
+        gc.disable()
+        try:
+            assert main(["decompose", "--scale", "0.0002"]) == 0
+        finally:
+            gc.enable()
+        assert live.alive_at_build == [0, 0, 0, 0]
 
     def test_decompose_takes_no_experiment_names(self, capsys):
         assert main(["decompose", "figure1"]) == 2

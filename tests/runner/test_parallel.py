@@ -9,6 +9,7 @@ equality check).
 
 from __future__ import annotations
 
+import gc
 from contextlib import contextmanager
 
 import pytest
@@ -28,7 +29,7 @@ from repro.runner.parallel import run_comparison_parallel, run_experiments
 from repro.runner.specs import ArchitectureSpec
 from repro.runner.trace_cache import TraceCache, cached_trace, set_trace_cache
 from repro.sim.engine import run_comparison
-from tests.conftest import make_tiny_config
+from tests.conftest import LiveBuilds, make_tiny_config
 
 #: A cheap cross-section of the registry: a characterization table, a
 #: figure sweep, and an experiment that builds custom per-row profiles.
@@ -199,6 +200,21 @@ class TestRunComparisonParallel:
             config.profile("dec"), config.seed, self.specs(config), jobs=1
         )
         assert len(results) == 3
+
+    def test_jobs1_keeps_one_architecture_alive(self):
+        # Each spec is built, run and dropped before the next is built;
+        # with the collector off, reference counting alone frees it.
+        config = make_tiny_config()
+        live = LiveBuilds()
+        gc.disable()
+        try:
+            results = run_comparison_parallel(
+                config.profile("dec"), config.seed, live.wrap(self.specs(config)), jobs=1
+            )
+        finally:
+            gc.enable()
+        assert len(results) == 3
+        assert live.alive_at_build == [0, 0, 0]
 
     def test_specs_build_fresh_state_every_time(self):
         config = make_tiny_config()
