@@ -110,31 +110,40 @@ class MissClassifier:
 
     def access(self, request: Request) -> AccessOutcome:
         """Process one trace record; returns its classified outcome."""
-        outcome = self._classify(request)
-        self.counts.record(outcome, request.size)
+        # Fields from object_id on: (object_id, size, version, cacheable, error).
+        return self.access_fields(*request[2:])
+
+    def access_fields(
+        self, object_id: int, size: int, version: int, cacheable: bool, error: bool
+    ) -> AccessOutcome:
+        """:meth:`access` on one record's fields, as a column reader has them."""
+        outcome = self._classify(object_id, size, version, cacheable, error)
+        self.counts.record(outcome, size)
         return outcome
 
-    def _classify(self, request: Request) -> AccessOutcome:
-        if request.error:
+    def _classify(
+        self, object_id: int, size: int, version: int, cacheable: bool, error: bool
+    ) -> AccessOutcome:
+        if error:
             return AccessOutcome(hit=False, miss_class=MissClass.ERROR)
-        if not request.cacheable:
+        if not cacheable:
             return AccessOutcome(hit=False, miss_class=MissClass.UNCACHABLE)
 
-        result = self.cache.lookup(request.object_id, request.version)
+        result = self.cache.lookup(object_id, version)
         if result is LookupResult.HIT:
             return AccessOutcome(hit=True)
 
-        last_version = self._stored_version.get(request.object_id)
+        last_version = self._stored_version.get(object_id)
         if result is LookupResult.STALE:
             miss_class = MissClass.COMMUNICATION
         elif last_version is None:
             miss_class = MissClass.COMPULSORY
-        elif last_version < request.version:
+        elif last_version < version:
             # The evicted copy would have been invalidated anyway.
             miss_class = MissClass.COMMUNICATION
         else:
             miss_class = MissClass.CAPACITY
-        self.cache.insert(request.object_id, request.size, request.version)
-        if last_version is None or last_version < request.version:
-            self._stored_version[request.object_id] = request.version
+        self.cache.insert(object_id, size, version)
+        if last_version is None or last_version < version:
+            self._stored_version[object_id] = version
         return AccessOutcome(hit=False, miss_class=miss_class)

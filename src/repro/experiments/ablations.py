@@ -102,7 +102,8 @@ def run_fanout(config: ExperimentConfig | None = None, profile_name: str = "dec"
 def run_branching(config: ExperimentConfig | None = None, profile_name: str = "dec") -> ExperimentResult:
     """Sweep metadata-tree branching and measure root update load."""
     config = resolve_config(config)
-    trace = trace_for(config, profile_name)
+    columns = trace_for(config, profile_name).columns()
+    storable = columns.cacheable & ~columns.error
     topology = config.topology
     rows = []
     for branching in (2, 4, 8, 16, 64):
@@ -111,14 +112,14 @@ def run_branching(config: ExperimentConfig | None = None, profile_name: str = "d
         tree = HintPropagationTree.balanced(branching=branching, leaves=topology.n_l1)
         caches = [LRUCache(config.l1_cache_bytes) for _ in range(topology.n_l1)]
         total_events = 0
-        for request in trace.requests:
-            if request.error or not request.cacheable:
+        for client, object_id, size, version in columns.fields(
+            "client", "object", "size", "version", where=storable
+        ):
+            leaf = topology.l1_of_client(client)
+            if caches[leaf].lookup(object_id, version) is LookupResult.HIT:
                 continue
-            leaf = topology.l1_of_client(request.client_id)
-            if caches[leaf].lookup(request.object_id, request.version) is LookupResult.HIT:
-                continue
-            evicted = caches[leaf].insert(request.object_id, request.size, request.version)
-            tree.inform(leaf, request.object_id)
+            evicted = caches[leaf].insert(object_id, size, version)
+            tree.inform(leaf, object_id)
             total_events += 1
             for key in evicted:
                 tree.retract(leaf, key)
@@ -225,9 +226,11 @@ def run_negative_caching(
     from repro.common.units import MINUTES
 
     config = resolve_config(config)
-    trace = trace_for(config, profile_name)
+    columns = trace_for(config, profile_name).columns()
     topology = config.topology
-    error_requests = [r for r in trace.requests if r.error]
+    error_requests = list(
+        columns.fields("client", "object", "time", where=columns.error)
+    )
     rows = [
         {
             "organization": "(none)",
@@ -248,14 +251,14 @@ def run_negative_caching(
         # proxy within the TTL is answered from the collective cache.
         shared_cache = NegativeResultCache(ttl_s=ttl_minutes * MINUTES)
         shared_contacts = 0
-        for request in error_requests:
-            local = local_caches[topology.l1_of_client(request.client_id)]
-            if not local.check(request.object_id, request.time):
+        for client, object_id, time in error_requests:
+            local = local_caches[topology.l1_of_client(client)]
+            if not local.check(object_id, time):
                 local_contacts += 1
-                local.record(request.object_id, request.time)
-            if not shared_cache.check(request.object_id, request.time):
+                local.record(object_id, time)
+            if not shared_cache.check(object_id, time):
                 shared_contacts += 1
-                shared_cache.record(request.object_id, request.time)
+                shared_cache.record(object_id, time)
         total = len(error_requests)
         for organization, contacts in (
             ("per-proxy", local_contacts),
@@ -315,18 +318,18 @@ def run_plaxton_load(
 
     object_hashes: dict[int, int] = {}
     caches = [LRUCache(config.l1_cache_bytes) for _ in range(n_l1)]
-    for request in trace.requests:
-        if request.error or not request.cacheable:
+    columns = trace.columns()
+    for client, object_id, size, version in columns.fields(
+        "client", "object", "size", "version", where=columns.cacheable & ~columns.error
+    ):
+        leaf = topology.l1_of_client(client)
+        if caches[leaf].lookup(object_id, version) is LookupResult.HIT:
             continue
-        leaf = topology.l1_of_client(request.client_id)
-        if caches[leaf].lookup(request.object_id, request.version) is LookupResult.HIT:
-            continue
-        caches[leaf].insert(request.object_id, request.size, request.version)
+        caches[leaf].insert(object_id, size, version)
         object_hash = object_hashes.setdefault(
-            request.object_id,
-            node_id_from_name(trace.url_for(request.object_id)),
+            object_id, node_id_from_name(trace.url_for(object_id))
         )
-        fixed.inform(leaf, request.object_id)
+        fixed.inform(leaf, object_id)
         fabric.inform(leaf, object_hash)
 
     fixed_interior_max = max(
@@ -372,6 +375,9 @@ def run_consistency(
 
     config = resolve_config(config)
     trace = trace_for(config, profile_name)
+    columns = trace.columns()
+    storable = columns.cacheable & ~columns.error
+    fields = ("time", "object", "size", "version")
     rows = []
 
     # Strong consistency: the paper's methodology.
@@ -380,16 +386,14 @@ def run_consistency(
     measured = 0
     from repro.cache.lru import LookupResult as StrongResult
 
-    for request in trace.requests:
-        if request.error or not request.cacheable:
-            continue
-        outcome = strong.lookup(request.object_id, request.version)
-        if request.time >= trace.warmup:
+    for time, object_id, size, version in columns.fields(*fields, where=storable):
+        outcome = strong.lookup(object_id, version)
+        if time >= trace.warmup:
             measured += 1
             if outcome is StrongResult.HIT:
                 strong_hits += 1
         if outcome is not StrongResult.HIT:
-            strong.insert(request.object_id, request.size, request.version)
+            strong.insert(object_id, size, version)
     rows.append(
         {
             "consistency": "strong (invalidation)",
@@ -403,23 +407,17 @@ def run_consistency(
         ttl_cache = TTLCache(ttl_s=ttl_days * DAYS)
         hits = 0
         seen = 0
-        for request in trace.requests:
-            if request.error or not request.cacheable:
-                continue
-            outcome = ttl_cache.lookup(
-                request.object_id, request.version, request.time
-            )
+        for time, object_id, size, version in columns.fields(*fields, where=storable):
+            outcome = ttl_cache.lookup(object_id, version, time)
             is_hit = outcome in (
                 TTLLookupResult.FRESH_HIT, TTLLookupResult.STALE_HIT
             )
-            if request.time >= trace.warmup:
+            if time >= trace.warmup:
                 seen += 1
                 if is_hit:
                     hits += 1
             if not is_hit:
-                ttl_cache.insert(
-                    request.object_id, request.size, request.version, request.time
-                )
+                ttl_cache.insert(object_id, size, version, time)
         rows.append(
             {
                 "consistency": f"weak (TTL {ttl_days:g} days)",

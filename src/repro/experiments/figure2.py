@@ -14,6 +14,8 @@ Paper shape claims this reproduction preserves:
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.cache.classify import MissClass, MissClassifier, MissCounts
 from repro.cache.lru import LRUCache
 from repro.experiments.base import ExperimentResult, resolve_config, trace_for
@@ -27,10 +29,8 @@ SIZE_FRACTIONS = (0.01, 0.05, 0.1, 0.2, 0.4, 0.8, 1.5, None)
 
 
 def _unique_bytes(trace: Trace) -> int:
-    sizes: dict[int, int] = {}
-    for request in trace.requests:
-        sizes[request.object_id] = request.size
-    return sum(sizes.values())
+    # Each distinct object counted once, at its last size in the trace.
+    return sum(dict(trace.columns().fields("object", "size")).values())
 
 
 def miss_breakdown(trace: Trace, capacity_bytes: int | None) -> dict:
@@ -41,12 +41,14 @@ def miss_breakdown(trace: Trace, capacity_bytes: int | None) -> dict:
     days warm our caches" methodology.
     """
     classifier = MissClassifier(LRUCache(capacity_bytes))
-    counters_reset = False
-    for request in trace.requests:
-        if not counters_reset and request.time >= trace.warmup:
+    columns = trace.columns()
+    first_measured = int(np.searchsorted(columns.time, trace.warmup))
+    for index, fields in enumerate(
+        columns.fields("object", "size", "version", "cacheable", "error")
+    ):
+        if index == first_measured:
             classifier.counts = MissCounts()
-            counters_reset = True
-        classifier.access(request)
+        classifier.access_fields(*fields)
     counts = classifier.counts
     row = {
         "cache_mb": (capacity_bytes or 0) / (1024 * 1024) if capacity_bytes else float("inf"),

@@ -51,15 +51,16 @@ def run(
 
     from repro.cache.lru import LookupResult  # local import to avoid cycle noise
 
-    for request in trace.requests:
-        if request.error or not request.cacheable:
+    columns = trace.columns()
+    for client, object_id, size, version in columns.fields(
+        "client", "object", "size", "version", where=columns.cacheable & ~columns.error
+    ):
+        leaf = topology.l1_of_client(client)
+        if caches[leaf].lookup(object_id, version) is LookupResult.HIT:
             continue
-        leaf = topology.l1_of_client(request.client_id)
-        if caches[leaf].lookup(request.object_id, request.version) is LookupResult.HIT:
-            continue
-        caches[leaf].insert(request.object_id, request.size, request.version)
-        tree.inform(leaf, request.object_id)
-        central.inform(leaf, request.object_id)
+        caches[leaf].insert(object_id, size, version)
+        tree.inform(leaf, object_id)
+        central.inform(leaf, object_id)
 
     duration = trace.duration
     central_rate = central.messages_received / duration

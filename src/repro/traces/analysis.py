@@ -12,6 +12,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.common.units import DAYS
 from repro.traces.records import Trace
 
@@ -50,27 +52,17 @@ class TraceCharacteristics:
 
 def characterize(trace: Trace) -> TraceCharacteristics:
     """Compute :class:`TraceCharacteristics` for a trace."""
-    popularity: Counter[int] = Counter()
-    clients: set[int] = set()
-    total_bytes = 0
-    uncachable = 0
-    errors = 0
-    for request in trace.requests:
-        popularity[request.object_id] += 1
-        clients.add(request.client_id)
-        total_bytes += request.size
-        if not request.cacheable:
-            uncachable += 1
-        if request.error:
-            errors += 1
-
-    n_requests = len(trace.requests)
+    columns = trace.columns()
+    n_requests = len(columns)
+    popularity = np.unique(columns.object, return_counts=True)[1]
     n_distinct = len(popularity)
-    re_references = n_requests - n_distinct
-    span = trace.requests[-1].time - trace.requests[0].time if n_requests else 0.0
+    total_bytes = trace.total_bytes()
+    uncachable = int(np.count_nonzero(~columns.cacheable))
+    errors = int(np.count_nonzero(columns.error))
+    span = float(columns.time[-1] - columns.time[0]) if n_requests else 0.0
     return TraceCharacteristics(
         profile_name=trace.profile_name,
-        n_clients=len(clients),
+        n_clients=trace.distinct_clients(),
         n_requests=n_requests,
         n_distinct_objects=n_distinct,
         days=span / DAYS,
@@ -78,8 +70,8 @@ def characterize(trace: Trace) -> TraceCharacteristics:
         mean_object_bytes=total_bytes / n_requests if n_requests else 0.0,
         frac_uncachable_requests=uncachable / n_requests if n_requests else 0.0,
         frac_error_requests=errors / n_requests if n_requests else 0.0,
-        frac_re_references=re_references / n_requests if n_requests else 0.0,
-        max_object_popularity=max(popularity.values(), default=0),
+        frac_re_references=(n_requests - n_distinct) / n_requests if n_requests else 0.0,
+        max_object_popularity=int(popularity.max(initial=0)),
     )
 
 
@@ -88,7 +80,7 @@ def popularity_histogram(trace: Trace, top: int = 20) -> list[tuple[int, int]]:
 
     Useful for eyeballing the Zipf head of a generated trace.
     """
-    popularity: Counter[int] = Counter(r.object_id for r in trace.requests)
+    popularity: Counter[int] = Counter(trace.columns().object.tolist())
     return popularity.most_common(top)
 
 
@@ -126,11 +118,12 @@ def reuse_distances(trace: Trace) -> list[int]:
 
     Runs in O(n log n) via a Fenwick tree over reference positions.
     """
-    tree = _FenwickTree(len(trace.requests))
+    objects = trace.columns().object.tolist()
+    tree = _FenwickTree(len(objects))
     last_position: dict[int, int] = {}
     distances: list[int] = []
-    for position, request in enumerate(trace.requests):
-        previous = last_position.get(request.object_id)
+    for position, object_id in enumerate(objects):
+        previous = last_position.get(object_id)
         if previous is not None:
             # Count distinct objects touched strictly after `previous`.
             distances.append(
@@ -138,7 +131,7 @@ def reuse_distances(trace: Trace) -> list[int]:
             )
             tree.add(previous, -1)
         tree.add(position, +1)
-        last_position[request.object_id] = position
+        last_position[object_id] = position
     return distances
 
 
@@ -167,7 +160,7 @@ def sharing_profile(trace: Trace) -> dict[int, int]:
     can help (Figure 3); this exposes it directly.
     """
     clients_per_object: dict[int, set[int]] = {}
-    for request in trace.requests:
-        clients_per_object.setdefault(request.object_id, set()).add(request.client_id)
+    for object_id, client in trace.columns().fields("object", "client"):
+        clients_per_object.setdefault(object_id, set()).add(client)
     histogram: Counter[int] = Counter(len(v) for v in clients_per_object.values())
     return dict(sorted(histogram.items()))

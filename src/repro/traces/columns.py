@@ -3,22 +3,24 @@
 A :class:`TraceColumns` is the structure-of-arrays twin of
 ``list[Request]``: seven parallel arrays (time, client, object, size,
 version, cacheable, error) holding the same records without the per-row
-tuple objects.  It is the native layout of the ``.npz`` trace format and
-of the fast simulation engine (:mod:`repro.sim.fastpath`), which consumes
-the arrays directly instead of re-packing materialized ``Request`` rows.
+tuple objects.  It is the native layout of every trace: the synthetic
+generator, the ``.npz`` and text readers all build one, the fast
+simulation engine (:mod:`repro.sim.fastpath`) consumes the arrays
+directly, and the experiments' own per-request loops walk native-typed
+lists of the columns they need (:meth:`TraceColumns.fields`).
 
-:class:`LazyRequestList` bridges the two worlds: a sequence that *looks*
-like ``list[Request]`` (so every existing consumer keeps working) but is
-backed by columns and only materializes the row tuples on first element
-access.  A warm trace-cache load therefore costs array deserialization
-only; the O(n) tuple build is deferred until someone actually iterates
-requests -- and never happens at all under ``engine="fast"``.
+:class:`LazyRequestList` bridges to the row world: a sequence that
+*looks* like ``list[Request]`` (so every row consumer keeps working) but
+is backed by columns and only materializes the row tuples on first
+element access.  Only the reference engine's per-request loop, the audit
+oracles and hand-built traces use rows; a trace that never meets one of
+them never builds a ``Request``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -70,49 +72,42 @@ class TraceColumns:
         return bool(np.all(np.diff(self.time) >= 0.0))
 
     @classmethod
+    def from_arrays(cls, arrays: Mapping) -> "TraceColumns":
+        """Columns from ``arrays[name]`` (arrays or lists) for every field,
+        each cast to its :data:`COLUMN_DTYPES` dtype (no copy when it
+        already has it)."""
+        return cls(
+            **{
+                name: np.ascontiguousarray(arrays[name], dtype=dtype)
+                for name, dtype in COLUMN_DTYPES.items()
+            }
+        )
+
+    @classmethod
     def from_requests(cls, requests: Sequence[Request]) -> "TraceColumns":
         """Pack materialized request rows into columns."""
-        return cls(
-            time=np.array([r.time for r in requests], dtype=np.float64),
-            client=np.array([r.client_id for r in requests], dtype=np.int64),
-            object=np.array([r.object_id for r in requests], dtype=np.int64),
-            size=np.array([r.size for r in requests], dtype=np.int64),
-            version=np.array([r.version for r in requests], dtype=np.int64),
-            cacheable=np.array([r.cacheable for r in requests], dtype=bool),
-            error=np.array([r.error for r in requests], dtype=bool),
-        )
+        fields = list(zip(*requests)) or [()] * len(COLUMN_DTYPES)
+        return cls.from_arrays(dict(zip(COLUMN_DTYPES, fields)))
+
+    def fields(self, *names: str, where: np.ndarray | None = None) -> Iterator[tuple]:
+        """Native-typed ``tuple`` of the named columns per record, in order.
+
+        ``where`` (a boolean mask) keeps only the records it selects.  The
+        columns are converted with ``tolist()`` once, so a per-request loop
+        reads Python scalars, the same values a ``Request`` row holds.
+        """
+        arrays = [getattr(self, name) for name in names]
+        if where is not None:
+            arrays = [array[where] for array in arrays]
+        return zip(*(array.tolist() for array in arrays))
 
     def to_requests(self) -> list[Request]:
         """Materialize the row-tuple view (one ``Request`` per record).
 
-        ``tolist()`` yields native Python scalars, so the rows are
-        indistinguishable from ones built by the text/npz readers or the
-        synthetic generator.
+        The fields are native Python scalars, so each row equals one built
+        by hand from the same values.
         """
-        return [
-            Request(t, c, o, s, v, u, e)
-            for t, c, o, s, v, u, e in zip(
-                self.time.tolist(),
-                self.client.tolist(),
-                self.object.tolist(),
-                self.size.tolist(),
-                self.version.tolist(),
-                self.cacheable.tolist(),
-                self.error.tolist(),
-            )
-        ]
-
-    def row(self, index: int) -> Request:
-        """Materialize a single record."""
-        return Request(
-            time=float(self.time[index]),
-            client_id=int(self.client[index]),
-            object_id=int(self.object[index]),
-            size=int(self.size[index]),
-            version=int(self.version[index]),
-            cacheable=bool(self.cacheable[index]),
-            error=bool(self.error[index]),
-        )
+        return [Request(*row) for row in self.fields(*COLUMN_DTYPES)]
 
 
 class LazyRequestList(Sequence):

@@ -8,7 +8,9 @@ Two formats are provided:
 * A **binary** format (numpy ``.npz``) for fast reload of large traces in
   benchmark runs.
 
-Both round-trip exactly through :class:`~repro.traces.records.Trace`.
+Both round-trip exactly through :class:`~repro.traces.records.Trace`, and
+both read into a columnar trace (:class:`~repro.traces.columns.TraceColumns`)
+without building a ``Request`` per line.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from repro.common.errors import TraceFormatError
 from repro.traces.columns import TraceColumns
-from repro.traces.records import Request, Trace
+from repro.traces.records import Trace
 
 _TEXT_COLUMNS = ("time", "client", "object", "size", "version", "cacheable", "error")
 
@@ -34,10 +36,12 @@ def write_trace_text(trace: Trace, stream: TextIO) -> None:
         f"duration={trace.duration!r} warmup={trace.warmup!r}\n"
     )
     stream.write("# " + "\t".join(_TEXT_COLUMNS) + "\n")
-    for r in trace.requests:
+    for time, client, obj, size, version, cacheable, error in trace.columns().fields(
+        *_TEXT_COLUMNS
+    ):
         stream.write(
-            f"{r.time:.3f}\t{r.client_id}\t{r.object_id}\t{r.size}\t"
-            f"{r.version}\t{int(r.cacheable)}\t{int(r.error)}\n"
+            f"{time:.3f}\t{client}\t{obj}\t{size}\t"
+            f"{version}\t{int(cacheable)}\t{int(error)}\n"
         )
 
 
@@ -55,7 +59,10 @@ def read_trace_text(stream: TextIO) -> Trace:
     duration = float(_header_field(meta, "duration"))
     warmup = float(_header_field(meta, "warmup"))
 
-    requests: list[Request] = []
+    # One list per column; the flags parse as ints and cast to bool with
+    # their column, as ``bool(int(field))`` would.
+    parsers = (float, int, int, int, int, int, int)
+    columns: list[list] = [[] for _ in _TEXT_COLUMNS]
     for line_number, line in enumerate(stream, start=3):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -67,22 +74,13 @@ def read_trace_text(stream: TextIO) -> Trace:
                 f"got {len(fields)}"
             )
         try:
-            requests.append(
-                Request(
-                    time=float(fields[0]),
-                    client_id=int(fields[1]),
-                    object_id=int(fields[2]),
-                    size=int(fields[3]),
-                    version=int(fields[4]),
-                    cacheable=bool(int(fields[5])),
-                    error=bool(int(fields[6])),
-                )
-            )
+            for column, parse, text in zip(columns, parsers, fields):
+                column.append(parse(text))
         except ValueError as exc:
             raise TraceFormatError(f"line {line_number}: {exc}") from exc
-    return Trace(
+    return Trace.from_columns(
         profile_name=profile_name,
-        requests=requests,
+        columns=TraceColumns.from_arrays(dict(zip(_TEXT_COLUMNS, columns))),
         n_objects=n_objects,
         n_clients=n_clients,
         duration=duration,
@@ -148,15 +146,7 @@ def _read_trace_npz(path: str) -> Trace:
             # load does not materialize per-request tuples just for the
             # engine to re-pack them (the fast engine reads the arrays
             # directly).
-            columns = TraceColumns(
-                time=np.ascontiguousarray(data["time"], dtype=np.float64),
-                client=np.ascontiguousarray(data["client"], dtype=np.int64),
-                object=np.ascontiguousarray(data["object"], dtype=np.int64),
-                size=np.ascontiguousarray(data["size"], dtype=np.int64),
-                version=np.ascontiguousarray(data["version"], dtype=np.int64),
-                cacheable=np.ascontiguousarray(data["cacheable"], dtype=bool),
-                error=np.ascontiguousarray(data["error"], dtype=bool),
-            )
+            columns = TraceColumns.from_arrays(data)
             return Trace.from_columns(
                 profile_name=str(data["profile_name"]),
                 columns=columns,

@@ -15,15 +15,20 @@ Design notes
   an object's version when its modification process fires, and a cache
   holding an older version must treat the access as a communication miss
   (paper section 2.2.1).
-* ``Request`` is a ``NamedTuple`` rather than a dataclass because traces
-  contain 10^5-10^6 of them and tuple construction/field access is the
-  simulator's inner loop.
+* A trace's storage is columnar (:mod:`repro.traces.columns`): the
+  generator and both readers build arrays, and the fast engine, the
+  experiments and the helpers below read them.  ``Request`` rows are built
+  only for a consumer that iterates ``requests`` -- the reference engine's
+  per-request loop, the audit oracles -- or by hand in tests; it is a
+  ``NamedTuple`` so those rows stay cheap to build and read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
+
+import numpy as np
 
 
 class Request(NamedTuple):
@@ -59,7 +64,9 @@ class Trace:
     Attributes:
         profile_name: Name of the workload profile that generated the trace
             (``"dec"``, ``"berkeley"``, ``"prodigy"``, or a custom name).
-        requests: Time-sorted request records.
+        requests: Time-sorted request records: a columnar
+            :class:`~repro.traces.columns.LazyRequestList` for a generated
+            or loaded trace, a plain list for one built by hand.
         n_objects: Size of the dense object-id space.
         n_clients: Number of distinct client ids that may appear.
         duration: Trace duration in seconds.
@@ -154,12 +161,12 @@ class Trace:
 
     def total_bytes(self) -> int:
         """Sum of request sizes over the whole trace."""
-        return sum(r.size for r in self.requests)
+        return int(self.columns().size.sum())
 
     def distinct_objects(self) -> int:
         """Number of distinct object ids referenced (Table 4 'Distinct URLs')."""
-        return len({r.object_id for r in self.requests})
+        return len(np.unique(self.columns().object))
 
     def distinct_clients(self) -> int:
         """Number of distinct client ids appearing in the trace."""
-        return len({r.client_id for r in self.requests})
+        return len(np.unique(self.columns().client))

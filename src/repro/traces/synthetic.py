@@ -29,7 +29,8 @@ import numpy as np
 from repro.common.rng import SeedSequenceFactory
 from repro.common.units import DAYS, MINUTES
 from repro.traces.profiles import WorkloadProfile
-from repro.traces.records import Request, Trace
+from repro.traces.columns import TraceColumns
+from repro.traces.records import Trace
 from repro.traces.zipf import ZipfSampler, catalog_size_for_distinct
 
 #: Smallest / largest object sizes generated, in bytes.  Web objects below a
@@ -262,25 +263,37 @@ class SyntheticTraceGenerator:
             return
         rng = self._seeds.generator("repeats", profile.name)
         count = len(object_ids)
-        repeat_draw = rng.random(count)
-        pick_draw = rng.integers(0, 1 << 30, size=count)
+        # The walk is per-request Python: run it on native lists, not on
+        # NumPy scalars indexed one at a time.
+        repeat_draw = rng.random(count).tolist()
+        pick_draw = rng.integers(0, 1 << 30, size=count).tolist()
+        ids = object_ids.tolist()
+        client_of = clients.tolist()
         window = profile.client_working_set
         recent: dict[int, deque] = {}
-        for index in np.flatnonzero(plain_mask):
-            client = int(clients[index])
+        for index in np.flatnonzero(plain_mask).tolist():
+            client = client_of[index]
             history = recent.get(client)
             if history is None:
                 history = deque(maxlen=window)
                 recent[client] = history
             if history and repeat_draw[index] < p:
-                object_ids[index] = history[int(pick_draw[index]) % len(history)]
-            history.append(int(object_ids[index]))
+                ids[index] = history[pick_draw[index] % len(history)]
+            history.append(ids[index])
+        object_ids[:] = ids
 
     # ------------------------------------------------------------------
     # assembly
     # ------------------------------------------------------------------
     def generate(self) -> Trace:
-        """Generate the full trace for this generator's profile and seed."""
+        """Generate the full trace for this generator's profile and seed.
+
+        The trace is columnar from birth: its request list is a
+        :class:`~repro.traces.columns.LazyRequestList` over the generated
+        arrays (cast to :data:`~repro.traces.columns.COLUMN_DTYPES`), so
+        no :class:`~repro.traces.records.Request` row exists unless a
+        consumer iterates or indexes ``requests``.
+        """
         profile = self.profile
         count = profile.n_requests
 
@@ -301,24 +314,20 @@ class SyntheticTraceGenerator:
             (times[finite] + request_phases[finite]) // request_periods[finite]
         ).astype(np.int64)
 
-        request_sizes = sizes[object_ids]
-        requests = [
-            Request(
-                time=float(t),
-                client_id=int(c),
-                object_id=int(o),
-                size=int(s),
-                version=int(v),
-                cacheable=not bool(u),
-                error=bool(e),
+        columns = TraceColumns.from_arrays(
+            dict(
+                time=times,
+                client=clients,
+                object=object_ids,
+                size=sizes[object_ids],
+                version=versions,
+                cacheable=~uncachable,
+                error=errors,
             )
-            for t, c, o, s, v, u, e in zip(
-                times, clients, object_ids, request_sizes, versions, uncachable, errors
-            )
-        ]
-        return Trace(
+        )
+        return Trace.from_columns(
             profile_name=profile.name,
-            requests=requests,
+            columns=columns,
             n_objects=n_objects,
             n_clients=profile.n_clients,
             duration=profile.duration_seconds,

@@ -26,15 +26,33 @@ class TestTraceColumns:
         columns = TraceColumns.from_requests(requests)
         assert len(columns) == 3
         assert columns.to_requests() == requests
-        assert columns.row(1) == requests[1]
         for name, dtype in COLUMN_DTYPES.items():
             assert getattr(columns, name).dtype == np.dtype(dtype)
 
     def test_native_scalar_types(self, requests):
-        row = TraceColumns.from_requests(requests).row(0)
+        row = TraceColumns.from_requests(requests).to_requests()[0]
         assert type(row.time) is float
         assert type(row.client_id) is int
         assert type(row.cacheable) is bool
+
+    def test_from_arrays_casts_to_column_dtypes(self, requests):
+        columns = TraceColumns.from_arrays(
+            dict(time=[0, 1], client=[1, 2], object=[3, 4], size=[5, 6],
+                 version=[0, 0], cacheable=[1, 0], error=[0, 2])
+        )
+        for name, dtype in COLUMN_DTYPES.items():
+            assert getattr(columns, name).dtype == np.dtype(dtype)
+        assert columns.error.tolist() == [False, True]
+        empty = TraceColumns.from_requests([])
+        assert len(empty) == 0 and empty.time.dtype == np.float64
+
+    def test_fields_are_native_and_masked(self, requests):
+        columns = TraceColumns.from_requests(requests)
+        assert list(columns.fields("object", "size")) == [
+            (10, 2048), (11, 4096), (10, 2048)
+        ]
+        (row,) = columns.fields("time", "client", where=columns.error)
+        assert row == (2.0, 1) and type(row[0]) is float and type(row[1]) is int
 
     def test_mismatched_lengths_rejected(self, requests):
         columns = TraceColumns.from_requests(requests)

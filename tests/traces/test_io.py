@@ -61,6 +61,36 @@ class TestTextFormat:
         with pytest.raises(TraceFormatError):
             read_trace_text(io.StringIO(text))
 
+    def test_exact_bytes(self, trace):
+        buffer = io.StringIO()
+        write_trace_text(trace, buffer)
+        assert buffer.getvalue() == (
+            "# repro-trace v1 profile=unit\n"
+            "# n_objects=12 n_clients=3 duration=100.0 warmup=1.0\n"
+            "# time\tclient\tobject\tsize\tversion\tcacheable\terror\n"
+            "0.500\t1\t10\t2048\t0\t1\t0\n"
+            "1.250\t2\t11\t4096\t1\t0\t0\n"
+            "2.000\t1\t10\t2048\t0\t1\t1\n"
+        )
+
+    def test_reads_into_columns(self, trace):
+        buffer = io.StringIO()
+        write_trace_text(trace, buffer)
+        loaded = read_trace_text(io.StringIO(buffer.getvalue()))
+        assert not loaded.requests.materialized
+        assert loaded.columns().cacheable.tolist() == [True, False, True]
+
+    def test_errors_name_their_line(self, trace):
+        buffer = io.StringIO()
+        write_trace_text(trace, buffer)
+        text = buffer.getvalue()
+        with pytest.raises(TraceFormatError, match="^line 7: expected 7 fields, got 3$"):
+            read_trace_text(io.StringIO(text + "1.0\t2\t3\n"))
+        with pytest.raises(TraceFormatError, match="^line 7: invalid literal for int"):
+            read_trace_text(io.StringIO(text + "3.0\t1\t1\t1\t0\tyes\t0\n"))
+        with pytest.raises(ValueError, match="sorted by time"):
+            read_trace_text(io.StringIO(text + "1.0\t1\t1\t1\t0\t1\t0\n"))
+
     def test_skips_comments_and_blanks(self, trace):
         buffer = io.StringIO()
         write_trace_text(trace, buffer)
