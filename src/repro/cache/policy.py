@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Protocol, runtime_checkable
 
 from repro.cache.lru import CacheEntry, LookupResult, LRUCache
-from repro.common.ids import mix64
 
 #: Recognized policy names, in the order the CLI documents them.
 POLICY_NAMES = ("lru", "lfu", "random")
@@ -222,15 +221,12 @@ class PolicySpec:
             (its node index), so sibling proxies draw independent victim
             streams while staying pure functions of ``(spec, salt)``.
 
-    Seed-derivation audit (shard-count invariance): every ``salt`` a
-    construction site passes is **stable node identity** -- the L1 node
-    index, ``n_l1 + node`` for L2, ``n_l1 + n_l2`` for the L3 root --
-    never an enumeration-order counter, so ``(seed << 32) ^ salt`` is a
-    pure function of (spec, topology, node).  The sharded runner layers
-    partition identity on top the same way: :meth:`for_partition` mixes
-    the virtual partition index (not the physical shard or submission
-    order) into the seed, so a partition's victim stream is identical
-    whichever shard engine or worker process ends up running it.
+    Seed derivation: every ``salt`` a construction site passes is
+    **stable node identity** -- the L1 node index, ``n_l1 + node`` for
+    L2, ``n_l1 + n_l2`` for the L3 root -- never an enumeration-order
+    counter, so ``(seed << 32) ^ salt`` is a pure function of (spec,
+    topology, node), and a worker process rebuilding the spec draws the
+    same victim stream.
     """
 
     name: str = "lru"
@@ -265,20 +261,6 @@ class PolicySpec:
                 capacity_bytes, on_evict, seed=(self.seed << 32) ^ salt
             )
         return _POLICY_CLASSES[self.name](capacity_bytes, on_evict)
-
-    def for_partition(self, partition: int) -> "PolicySpec":
-        """The spec for one virtual partition of a sharded run.
-
-        Derives the partition's RNG seed from stable identity -- a 64-bit
-        mix of (base seed, partition index) -- never from enumeration
-        order, so the stream is invariant to how partitions are grouped
-        into shards or scheduled across workers.  Deterministic policies
-        return ``self`` unchanged (their behaviour has no seed to shift,
-        and keeping the object identical keeps payloads identical).
-        """
-        if self.name != "random":
-            return self
-        return PolicySpec(self.name, seed=mix64(self.seed, partition))
 
     def to_payload(self) -> dict:
         """Canonical JSON-ready identity (equal behaviour, equal payload).

@@ -111,18 +111,6 @@ def splitmix64(value: int) -> int:
     return value ^ (value >> 31)
 
 
-def mix64(*values: int) -> int:
-    """Fold several integers into one stable 64-bit value.
-
-    Used to derive per-partition RNG seeds from stable identity (base
-    seed, partition index) -- never from enumeration order.
-    """
-    state = 0
-    for value in values:
-        state = splitmix64((state ^ (value & _U64)) & _U64)
-    return state
-
-
 def partition_of_object(object_id: int, n_partitions: int) -> int:
     """The virtual partition owning ``object_id`` (stable across processes)."""
     if n_partitions < 1:

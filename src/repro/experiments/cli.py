@@ -127,21 +127,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards", type=int, default=None, metavar="N",
         help="with the 'decompose'/'timeline' verbs: partition the object "
         "space across N shard engines (each owns a contiguous range of a "
-        "fixed set of virtual partitions, so results are identical for "
-        "any N; combine with --jobs to run shards in parallel).  An "
+        "fixed set of virtual partitions; combine with --jobs to run "
+        "shards in parallel).  Sharded numbers equal the unsharded run's "
+        "up to float rounding, for any N; a run they would not equal, "
+        "such as one with --policy (bounded caches), is refused.  An "
         "explicit '--shards 1' still runs the sharded engine, so its "
-        "output diffs clean against any other shard count.  With the "
-        "default unbounded caches, sharded numbers equal the unsharded "
-        "run's up to float rounding; --policy implies bounded capacities, "
-        "which make them approximate: every partition keeps the full "
-        "per-node capacity",
-    )
-    parser.add_argument(
-        "--virtual-partitions", type=int, default=None, metavar="V",
-        help="with --shards: fixed hash-space granularity (default 16); "
-        "results never depend on the shard count, but with --policy "
-        "capacities they depend on V, so keep V pinned when comparing "
-        "runs",
+        "output diffs clean against any other shard count",
     )
     parser.add_argument(
         "--out", default=None, metavar="OUT.json",
@@ -182,7 +173,6 @@ _VERB_FLAGS = {
     "prometheus": ("timeline",),
     "policy": ("decompose", "timeline", "profile"),
     "shards": ("decompose", "timeline"),
-    "virtual_partitions": ("decompose", "timeline"),
 }
 
 
@@ -214,7 +204,6 @@ def main(argv: list[str] | None = None) -> int:
         verb in ("decompose", "timeline")
         and args.jobs is not None
         and args.shards is None
-        and args.virtual_partitions is None
     ):
         print(f"--jobs requires --shards with the '{verb}' verb", file=sys.stderr)
         return 2
@@ -284,9 +273,6 @@ def main(argv: list[str] | None = None) -> int:
             rendered = result.render()
             chart = result.render_chart() if args.chart else None
         timings.render_s = render_watch.elapsed
-        # Replace the worker-side note (no render figure yet) with the
-        # complete trace-gen/simulate/render breakdown before export.
-        result.notes[-1] = timings.note()
         print(rendered)
         if chart is not None:
             print()
@@ -396,26 +382,17 @@ def _standard_specs(config, policy_arg):
 def _sharded_comparison(args, config, profile_name, specs, timeline_dir=None):
     """Run ``specs`` under ``--shards`` and return the ShardedComparison.
 
-    Raises ValueError for an invalid shard plan (shards < 1, fewer
-    virtual partitions than shards) -- callers turn that into a usage
-    error.
+    Raises ValueError for an invalid shard plan (shards < 1) or a
+    configuration a sharded run would not reproduce exactly (``--policy``
+    bounds the caches) -- callers turn that into a usage error.
     """
-    from repro.runner.sharding import (
-        DEFAULT_VIRTUAL_PARTITIONS,
-        run_comparison_sharded,
-    )
+    from repro.runner.sharding import run_comparison_sharded
 
-    virtual = (
-        args.virtual_partitions
-        if args.virtual_partitions is not None
-        else DEFAULT_VIRTUAL_PARTITIONS
-    )
     return run_comparison_sharded(
         config.profile(profile_name),
         config.seed,
         specs,
-        shards=args.shards if args.shards is not None else 1,
-        virtual_partitions=virtual,
+        shards=args.shards,
         jobs=args.jobs,
         trace_cache_dir=args.trace_cache,
         timeline_dir=timeline_dir,
@@ -532,7 +509,7 @@ def _run_decompose(args) -> int:
     except ValueError as exc:
         print(f"--policy: {exc}", file=sys.stderr)
         return 2
-    if args.shards is not None or args.virtual_partitions is not None:
+    if args.shards is not None:
         if args.journeys is not None:
             print("--journeys is not supported with --shards", file=sys.stderr)
             return 2
@@ -609,7 +586,7 @@ def _run_timeline(args) -> int:
         print(f"--policy: {exc}", file=sys.stderr)
         return 2
     shard_note = None
-    if args.shards is not None or args.virtual_partitions is not None:
+    if args.shards is not None:
         import tempfile
 
         if args.prometheus is not None:

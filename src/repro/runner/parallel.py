@@ -21,8 +21,9 @@ store when one is configured) keeps each distinct trace generated at most
 once per worker -- or, with a warm store, zero times anywhere.
 
 Determinism: a work unit's output depends only on its arguments, never on
-scheduling, so ``jobs=N`` and ``jobs=1`` produce row-for-row identical
-results; only wall-clock (and the timing notes derived from it) differs.
+scheduling, so ``jobs=N`` and ``jobs=1`` produce identical results; only
+wall-clock differs, and results carry none of it: stage timings travel
+beside them (:class:`StageTimings`), never in their notes.
 """
 
 from __future__ import annotations
@@ -70,16 +71,6 @@ class StageTimings:
     simulate_s: float
     render_s: float | None = None
     cache: TraceCacheStats = field(default_factory=TraceCacheStats)
-
-    def note(self) -> str:
-        """The ``[stage timing]`` line surfaced in ``ExperimentResult.notes``."""
-        parts = [
-            f"trace_gen={format_seconds(self.trace_gen_s)}",
-            f"simulate={format_seconds(self.simulate_s)}",
-        ]
-        if self.render_s is not None:
-            parts.append(f"render={format_seconds(self.render_s)}")
-        return "[stage timing] " + " ".join(parts)
 
     def as_row(self) -> dict:
         return {
@@ -167,7 +158,6 @@ def _run_experiment_task(
         simulate_s=max(0.0, stopwatch.elapsed - delta.generation_seconds),
         cache=delta,
     )
-    result.notes.append(timings.note())
     return name, result, timings
 
 

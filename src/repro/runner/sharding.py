@@ -17,9 +17,7 @@ Three layers make shard counts invisible in the results:
   then runs whole through :func:`~repro.sim.engine.run_simulation`, on
   either engine, with its own architecture instance (full L1 client
   population -- the client -> L1 mapping is topology-stable, so every
-  partition sees the same proxy fabric) and its own replacement-policy
-  RNG stream (:meth:`repro.cache.policy.PolicySpec.for_partition`, keyed
-  on partition identity).
+  partition sees the same proxy fabric).
 
 * **Contiguous ownership.**  Shard ``s`` owns a contiguous range of
   partitions (``owner_of(p) = p * shards // virtual_partitions``), so
@@ -35,19 +33,28 @@ Three layers make shard counts invisible in the results:
   per-partition values folded in an identical order are bit-identical
   for any shard count and any job count.
 
-What the numbers mean: the paper's four architectures (hierarchy, ICP,
-hints, directory) keep their cache state per object, so with unbounded
-caches a sharded run equals the unsharded
+Exact or refused: a sharded run equals the unsharded
 :func:`~repro.sim.engine.run_comparison` over the same trace -- every
 counter and histogram bin exactly, float totals up to the order of
-addition.  Two kinds of run are approximate, though still invariant
-across shard and job counts:
+addition -- and :func:`run_comparison_sharded` accepts nothing else.
+The paper's four architectures (hierarchy, ICP, hints, directory) keep
+their cache state per object, so they shard exactly unless something
+couples objects.  Before any work starts the run refuses, with one
+ValueError naming the architecture and the reason:
 
-* bounded capacities: each partition keeps the full per-node capacity,
-  so a run over ``V`` partitions models ``V`` times the cache;
-* push and client-hint runs, and fault plans with hint-batch loss:
-  their RNG streams are shared across objects, so each partition draws
-  a different sequence.
+* any other architecture, or a subclass of the four (client hints and
+  message-level hints draw from streams shared by every object);
+* a bounded data or hint cache: each partition would keep the full
+  per-node capacity, so ``V`` partitions would model ``V`` times the
+  cache;
+* a push policy (hierarchical push draws its targets from one random
+  stream across all objects);
+* a fault plan with hint-batch loss (its loss draws are one stream);
+* with a timeline, hints that become visible late (``hint_delay_s > 0``
+  or a ``StaleHintDrift`` event): a delayed hint is applied at the next
+  lookup, so each partition's hint-entries gauge lags to its own last
+  lookup.  The metrics of such a run are exact, and it is accepted
+  without a timeline.
 
 Fault plans replay per partition (every partition sees the same node
 crash/recover schedule).  Merged timeline *gauges* are summed across
@@ -68,6 +75,11 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.common.ids import partitions_of_objects
 from repro.common.timing import Stopwatch
+from repro.faults.events import HintBatchLoss, StaleHintDrift
+from repro.hierarchy.data_hierarchy import DataHierarchy
+from repro.hierarchy.directory_arch import CentralizedDirectoryArchitecture
+from repro.hierarchy.hint_hierarchy import HintHierarchy
+from repro.hierarchy.icp import IcpHierarchy
 from repro.obs import profiling
 from repro.runner.specs import ArchitectureSpec
 from repro.runner.trace_cache import cached_trace
@@ -78,11 +90,12 @@ from repro.traces.records import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.events import FaultPlan
+    from repro.hierarchy.base import Architecture
     from repro.obs.telemetry import TimelineColumns
 
 #: Default number of virtual partitions.  Fixed independently of the
-#: shard count -- this is the invariance anchor: results depend on the
-#: partition layout, never on how partitions are grouped into shards.
+#: shard count; every accepted run equals the unsharded one for any
+#: layout, so the count moves only the order in which float totals add.
 DEFAULT_VIRTUAL_PARTITIONS = 16
 
 
@@ -94,10 +107,9 @@ class ShardPlan:
         shards: Physical shard engines (process-pool work units per
             architecture).
         virtual_partitions: Fixed hash-space granularity; must be at
-            least ``shards``.  Changing it reshapes every partition's
-            sub-trace, which can change the results of the approximate
-            runs (see the module docstring); changing ``shards`` never
-            changes any result.
+            least ``shards``.  Changing ``shards`` never changes any
+            result; changing this changes only the order in which float
+            totals are added.
     """
 
     shards: int
@@ -131,27 +143,69 @@ class ShardPlan:
         )
 
 
-def partition_spec(spec: ArchitectureSpec, partition: int) -> ArchitectureSpec:
-    """The factory spec for one virtual partition's architecture.
+#: The architectures whose sharded runs are proved equal to the unsharded
+#: run (``tests/runner/test_sharding.py::TestExactness``).  Exact types
+#: only: a subclass may keep state the proof never saw.
+EXACT_ARCHITECTURES = (
+    DataHierarchy, IcpHierarchy, HintHierarchy, CentralizedDirectoryArchitecture
+)
 
-    Rewrites every :class:`~repro.cache.policy.PolicySpec` keyword
-    through :meth:`~repro.cache.policy.PolicySpec.for_partition`, so the
-    Random policy's victim streams are decorrelated across partitions by
-    stable identity.  Everything else passes through unchanged -- every
-    partition gets the full topology (same proxy fabric, same per-node
-    capacities over its slice of the object space).
+
+def _inexact_reason(
+    architecture: "Architecture", fault_plan: "FaultPlan | None", timeline: bool
+) -> str | None:
+    """Why a sharded run of ``architecture`` (with a timeline, if
+    ``timeline``) would differ from the unsharded one, or ``None``."""
+    if type(architecture) not in EXACT_ARCHITECTURES:
+        exact = ", ".join(cls.__name__ for cls in EXACT_ARCHITECTURES)
+        return f"{type(architecture).__name__} is not one of {exact}"
+    caches = {"L1": architecture.l1_caches}
+    if isinstance(architecture, (DataHierarchy, IcpHierarchy)):
+        caches.update(L2=architecture.l2_caches, L3=[architecture.l3_cache])
+    else:
+        caches.update(hint=[architecture.directory])
+    for level, group in caches.items():
+        if any(cache.capacity_bytes is not None for cache in group):
+            return f"a bounded {level} cache: every partition would keep its full size"
+    if getattr(architecture, "push_policy", None) is not None:
+        return "a push policy: push-N draws its targets from one stream for all objects"
+    events = {type(event) for event in fault_plan or ()}
+    if HintBatchLoss in events:
+        return "HintBatchLoss: it draws batch losses from one stream for all objects"
+    if timeline and isinstance(architecture, HintHierarchy) and (
+        architecture.directory.propagation_delay_s > 0 or StaleHintDrift in events
+    ):
+        # A delayed hint becomes visible at the next lookup, so each
+        # partition's hint-entries gauge lags to its own last lookup.
+        return "delayed hints with a timeline: the merged hint-entries gauge falls short"
+    return None
+
+
+def _preflight(
+    specs: Sequence[ArchitectureSpec],
+    fault_plan: "FaultPlan | None",
+    engine: str,
+    timeline: bool,
+) -> None:
+    """A sharded run's one pre-flight, before any worker is spawned.
+
+    Builds each spec once and raises ValueError with the serial path's
+    error for an ``engine="fast"`` run it cannot drive, then for every
+    configuration a sharded run would not reproduce exactly.
     """
-    from repro.cache.policy import PolicySpec
+    for spec in specs:
+        architecture = spec.build()
+        if engine == "fast":
+            from repro.sim.fastpath import fast_unsupported_reason
 
-    rewritten = {
-        key: value.for_partition(partition)
-        if isinstance(value, PolicySpec)
-        else value
-        for key, value in spec.kwargs.items()
-    }
-    if rewritten == spec.kwargs:
-        return spec
-    return ArchitectureSpec(spec.factory, spec.args, rewritten)
+            reason = fast_unsupported_reason(architecture)
+            if reason is not None:
+                raise ValueError(reason)
+        reason = _inexact_reason(architecture, fault_plan, timeline)
+        if reason is not None:
+            raise ValueError(
+                f"cannot shard {architecture.name!r} exactly: {reason}"
+            )
 
 
 def split_trace(trace: Trace, plan: ShardPlan) -> list[Trace]:
@@ -211,8 +265,6 @@ class ShardedComparison:
         results: Architecture name -> merged :class:`SimMetrics`, in spec
             order -- the same shape :func:`run_comparison_parallel`
             returns, and the object the invariance pins compare.
-        partition_metrics: Architecture name -> per-partition metrics in
-            ascending partition order (the unmerged inputs).
         partition_requests: Requests per partition (sums to the trace).
         partition_objects: Distinct objects per partition -- the
             working-set split: with ``N`` shards each engine holds about
@@ -225,7 +277,6 @@ class ShardedComparison:
 
     plan: ShardPlan
     results: dict[str, SimMetrics]
-    partition_metrics: dict[str, list[SimMetrics]]
     partition_requests: list[int]
     partition_objects: list[int]
     timeline_rows: dict[str, list[dict]] = field(default_factory=dict)
@@ -279,7 +330,7 @@ def _shard_task(
             telemetry = RunTelemetry(bin_s=timeline_bin_s)
         metrics = run_simulation(
             sub,
-            partition_spec(spec, partition).build(),
+            spec.build(),
             warmup_s=warmup_s,
             include_uncachable=include_uncachable,
             fault_plan=fault_plan,
@@ -315,7 +366,10 @@ def run_comparison_sharded(
     the per-partition outputs in canonical partition order.  Results are
     bit-identical for any ``shards`` (given the same
     ``virtual_partitions``) and any ``jobs`` -- the shard-count-invariance
-    pins assert exactly this.  This is the only sharded entry point.
+    pins assert exactly this -- and equal the unsharded run's up to the
+    order of float addition.  A configuration that would not equal it
+    raises ValueError before any work starts (see the module docstring).
+    This is the only sharded entry point.
 
     ``timeline_dir`` mirrors the parallel runner: merged per-bin rows
     land in ``<timeline_dir>/<architecture>.jsonl``, canonical JSONL,
@@ -327,16 +381,8 @@ def run_comparison_sharded(
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     plan = ShardPlan(shards=shards, virtual_partitions=virtual_partitions)
-    if engine == "fast":
-        # Same pre-flight as the parallel runner: fail with the serial
-        # path's error before any worker is spawned.
-        from repro.sim.fastpath import fast_unsupported_reason
-
-        for spec in specs:
-            reason = fast_unsupported_reason(spec.build())
-            if reason is not None:
-                raise ValueError(reason)
     collect_timeline = timeline_dir is not None
+    _preflight(specs, fault_plan, engine, collect_timeline)
     if collect_timeline:
         from repro.obs.export import write_timeline_jsonl
         from repro.obs.telemetry import merge_timeline_columns
@@ -367,7 +413,6 @@ def run_comparison_sharded(
         for shard in range(plan.shards)
     ]
     results: dict[str, SimMetrics] = {}
-    partition_metrics: dict[str, list[SimMetrics]] = {}
     timeline_rows: dict[str, list[dict]] = {}
     partition_requests = [0] * plan.virtual_partitions
     partition_objects = [0] * plan.virtual_partitions
@@ -408,7 +453,6 @@ def run_comparison_sharded(
                 )
             merged.validate()
             results[merged.architecture] = merged
-            partition_metrics[merged.architecture] = [m for m, _ in ordered]
             if spec_index == 0:
                 for partition, (metrics, _columns) in enumerate(ordered):
                     partition_requests[partition] = (
@@ -433,7 +477,6 @@ def run_comparison_sharded(
     return ShardedComparison(
         plan=plan,
         results=results,
-        partition_metrics=partition_metrics,
         partition_requests=partition_requests,
         partition_objects=partition_objects,
         timeline_rows=timeline_rows,

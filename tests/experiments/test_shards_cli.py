@@ -37,3 +37,23 @@ class TestGuards:
         with pytest.raises(SystemExit) as exit_info:
             main(["timeline", "--shards", "2", "--clock", "60"])
         assert exit_info.value.code == 2
+
+    def test_no_virtual_partitions_option(self):
+        # Every accepted sharded run equals the unsharded one, so the
+        # partition count has nothing left to choose.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["timeline", "--shards", "2", "--virtual-partitions", "8"])
+        assert exit_info.value.code == 2
+
+
+@pytest.mark.parametrize("verb", ["decompose", "timeline"])
+def test_policy_with_shards_is_refused(verb, tmp_path, capsys):
+    """Bounded caches do not shard exactly: exit 2, the reason, no file."""
+    out = tmp_path / "refused.jsonl"
+    argv = [verb, "--scale", "0.0002", "--policy", "lfu", "--shards", "2"]
+    if verb == "timeline":
+        argv += ["--timeline", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--shards: cannot shard 'hierarchy' exactly: a bounded L1 cache" in err
+    assert list(tmp_path.iterdir()) == []

@@ -1,10 +1,9 @@
 """Parallel execution: deterministic, cache-sharing, invariant-preserving.
 
 The headline property: ``run_experiments(..., jobs=4)`` produces
-row-for-row identical :class:`ExperimentResult`s to ``jobs=1``.  Work
+:class:`ExperimentResult`s equal to ``jobs=1``'s, notes included.  Work
 units depend only on their arguments, never on scheduling, so parallelism
-may only change wall-clock (timing notes are therefore excluded from the
-equality check).
+may only change wall-clock, and no result carries a host timing.
 """
 
 from __future__ import annotations
@@ -38,17 +37,6 @@ EXPERIMENTS = ["table4", "figure3", "scaling"]
 MEMO_GROUP = ["figure8", "table6", "figure10", "figure11"]
 
 
-def strip_timing(result):
-    """Everything that must match across job counts (notes carry timings)."""
-    return (
-        result.experiment,
-        result.description,
-        result.rows,
-        result.paper_claims,
-        result.chart_spec,
-    )
-
-
 @contextmanager
 def fresh_cache():
     """A fresh active trace cache (empty memo), as a new CLI process has."""
@@ -70,9 +58,7 @@ class TestRunExperiments:
         )
         assert list(sequential.results) == list(parallel.results) == names
         for name in names:
-            assert strip_timing(sequential.results[name]) == strip_timing(
-                parallel.results[name]
-            ), name
+            assert sequential.results[name] == parallel.results[name], name
 
     def test_no_memo_entry_is_computed_twice_at_any_job_count(self, tmp_path):
         """The memo's readers run in their producer's worker: the run
@@ -99,7 +85,8 @@ class TestRunExperiments:
         config = make_tiny_config()
         summary = run_experiments(["table4"], config, jobs=1)
         result = summary.results["table4"]
-        assert any(note.startswith("[stage timing]") for note in result.notes)
+        # Host timings travel beside the result, never in its notes.
+        assert not any(note.startswith("[stage timing]") for note in result.notes)
         assert summary.timings[0].experiment == "table4"
         assert summary.timings[0].total_s >= summary.timings[0].trace_gen_s
         rendered = summary.render()
@@ -114,9 +101,7 @@ class TestRunExperiments:
         assert warm.cache_stats.generations == 0
         assert warm.cache_stats.disk_hits > 0
         for name in EXPERIMENTS:
-            assert strip_timing(cold.results[name]) == strip_timing(
-                warm.results[name]
-            ), name
+            assert cold.results[name] == warm.results[name], name
 
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError, match="jobs"):

@@ -1,13 +1,13 @@
-"""Sharded runner: shard-count invariance, and exactness where it holds.
+"""Sharded runner: shard-count invariance, exactness, and refusal.
 
 The headline pins: ``run_comparison_sharded(shards=1)`` and
 ``shards=4`` produce *equal* :class:`SimMetrics` (full dataclass
 equality, histograms included) and byte-identical timeline files, for
-any job count, under replacement-policy pressure, and under fault
-plans.  Partitions share no object state and the coordinator folds them
-in canonical order, so nothing about the physical layout may leak into
-results.  With unbounded caches the standard four architectures keep
-their state per object, so a sharded run also equals the unsharded one.
+any job count and under fault plans.  Partitions share no object state
+and the coordinator folds them in canonical order, so nothing about the
+physical layout may leak into results.  Every configuration the runner
+accepts also equals the unsharded run (``TestExactness``), and every
+other one is refused before any work starts (``TestRefusal``).
 """
 
 from __future__ import annotations
@@ -16,23 +16,36 @@ import dataclasses
 import filecmp
 import math
 import os
+import re
 
 import pytest
 
 from repro.cache.policy import PolicySpec
-from repro.common.ids import mix64, partition_of_object, partitions_of_objects
-from repro.faults import FaultPlan, NodeCrash, OriginSlowdown
+from repro.common.ids import partition_of_object, partitions_of_objects
+from repro.faults import (
+    FaultPlan,
+    HintBatchLoss,
+    LinkDegrade,
+    NodeCrash,
+    NodeRecover,
+    OriginSlowdown,
+    StaleHintDrift,
+)
+from repro.hierarchy.client_hints import ClientHintHierarchy
 from repro.hierarchy.data_hierarchy import DataHierarchy
 from repro.hierarchy.directory_arch import CentralizedDirectoryArchitecture
 from repro.hierarchy.hint_hierarchy import HintHierarchy
 from repro.hierarchy.icp import IcpHierarchy
+from repro.hierarchy.message_hints import MessageLevelHintHierarchy
+from repro.netmodel.model import AccessPoint
 from repro.netmodel.testbed import TestbedCostModel
 from repro.obs import profiling
 from repro.obs.export import read_timeline_jsonl
+from repro.push.hierarchical import HierarchicalPushOnMiss
+from repro.runner import sharding
 from repro.runner.parallel import run_comparison_parallel
 from repro.runner.sharding import (
     ShardPlan,
-    partition_spec,
     run_comparison_sharded,
     split_trace,
 )
@@ -111,29 +124,6 @@ class TestPartitionHashing:
         assert [partition_of_object(int(o), 16) for o in objects[:200]] == list(
             vector[:200]
         )
-
-    def test_for_partition_reseeds_only_random(self):
-        lru = PolicySpec("lru")
-        assert lru.for_partition(3) is lru
-        random = PolicySpec("random", seed=99)
-        reseeded = random.for_partition(3)
-        assert reseeded.name == "random"
-        assert reseeded.seed == mix64(99, 3)
-        assert random.for_partition(3) == reseeded  # stable identity
-
-    def test_partition_spec_rewrites_policy_kwargs_only(self):
-        config = make_tiny_config()
-        spec = ArchitectureSpec(
-            DataHierarchy,
-            (config.topology, TestbedCostModel()),
-            dict(l1_bytes=1024, l1_policy=PolicySpec("random", seed=5)),
-        )
-        rewritten = partition_spec(spec, 7)
-        assert rewritten.kwargs["l1_bytes"] == 1024
-        assert rewritten.kwargs["l1_policy"].seed == mix64(5, 7)
-        # No PolicySpec kwargs -> the spec passes through untouched.
-        plain = ArchitectureSpec(DataHierarchy, spec.args)
-        assert partition_spec(plain, 7) is plain
 
 
 class TestSplitTrace:
@@ -229,34 +219,6 @@ class TestShardCountInvariance:
                 os.path.join(timeline_dir, f"{name}.jsonl"),
                 shallow=False,
             ), name
-
-    def test_random_policy_invariant_under_capacity_pressure(self):
-        # Satellite: per-node Random seeds derive from stable identity
-        # plus the partition id, never from shard layout -- so even the
-        # stochastic policy pins across shard counts.
-        config = make_tiny_config()
-        kwargs = dict(
-            l1_bytes=256 * 1024,
-            l2_bytes=256 * 1024,
-            l3_bytes=256 * 1024,
-            l1_policy=PolicySpec("random", seed=41),
-            l2_policy=PolicySpec("random", seed=42),
-            l3_policy=PolicySpec("random", seed=43),
-        )
-        specs = [
-            ArchitectureSpec(
-                DataHierarchy, (config.topology, TestbedCostModel()), kwargs
-            )
-        ]
-        runs = {
-            shards: run_comparison_sharded(
-                config.profile("dec"), config.seed, specs, shards=shards
-            )
-            for shards in (1, 4)
-        }
-        result = runs[1].results["hierarchy"]
-        assert result == runs[4].results["hierarchy"]
-        assert result.measured_requests > 0
 
     def test_fault_plan_invariant(self):
         config = make_tiny_config()
@@ -363,9 +325,14 @@ def assert_metrics_match(unsharded, sharded, path):
 FLOAT_SERIES = ("repro_response_time_ms_sum", "repro_fault_added_ms_total")
 
 
-def assert_rows_match(unsharded, sharded, arch):
-    """Same bins and keys; counts exact, float sums to 1e-12 relative."""
+def assert_rows_match(unsharded, sharded, arch, per_total=False):
+    """Same bins and keys; counts exact, float sums to 1e-12 relative.
+
+    With ``per_total`` each float bin is held to 1e-12 of its series'
+    running total instead of its own value (see ``PER_TOTAL_CASES``).
+    """
     assert len(unsharded) == len(sharded), arch
+    totals: dict[str, float] = {}
     for expected, got in zip(unsharded, sharded):
         where = f"{arch} bin {expected['bin']}"
         for field in ("arch", "bin", "t_start", "t_end"):
@@ -373,45 +340,116 @@ def assert_rows_match(unsharded, sharded, arch):
         for group in ("counters", "gauges"):
             assert set(expected[group]) == set(got[group]), (where, group)
             for key, value in expected[group].items():
-                if key.split("{", 1)[0] in FLOAT_SERIES:
+                if key.split("{", 1)[0] not in FLOAT_SERIES:
+                    assert value == got[group][key], (where, key)
+                elif per_total:
+                    totals[key] = totals.get(key, 0.0) + abs(value)
+                    error = abs(value - got[group][key])
+                    assert error <= 1e-12 * totals[key], (where, key)
+                else:
                     assert math.isclose(
                         value, got[group][key], rel_tol=1e-12, abs_tol=0.0
                     ), (where, key)
-                else:
-                    assert value == got[group][key], (where, key)
+
+
+def crash_plan(seed):
+    """An L2 crash from the start and a slowed origin."""
+    return FaultPlan(
+        events=(
+            NodeCrash(time=0.0, kind="l2", node=0),
+            OriginSlowdown(time=3600.0, factor=2.0),
+        ),
+        seed=seed,
+    )
+
+
+def recovering_plan(seed, *extra):
+    """Crashes that recover and a degraded network (plus ``extra`` events)."""
+    return FaultPlan(
+        events=(
+            NodeCrash(time=200_000.0, kind="l1", node=1),
+            NodeCrash(time=250_000.0, kind="l2", node=0),
+            LinkDegrade(time=400_000.0, latency_mult=1.5),
+            NodeRecover(time=600_000.0, kind="l1", node=1),
+            NodeRecover(time=650_000.0, kind="l2", node=0),
+            *extra,
+        ),
+        seed=seed,
+    )
+
+
+def drifting_plan(seed):
+    """The recovering plan with stale-hint drift from 300,000 s on."""
+    return recovering_plan(seed, StaleHintDrift(time=300_000.0, ttl_skew_s=600.0))
+
+
+def one_spec(cls, **kwargs):
+    """A specs builder for one architecture on the tiny topology."""
+    return lambda config: [
+        ArchitectureSpec(cls, (config.topology, TestbedCostModel()), kwargs)
+    ]
+
+
+#: Every configuration ``run_comparison_sharded`` accepts: a specs
+#: builder, a fault-plan builder (or None), and the fault gauges the last
+#: merged bin must read -- or None for a run accepted only without a
+#: timeline (delayed hints; see ``TestRefusal``).
+EXACT_CASES = {
+    "clean": (standard_specs, None, {}),
+    "faulted": (
+        standard_specs,
+        crash_plan,
+        {"repro_fault_origin_factor": 2.0, "repro_fault_latency_mult": 1.0},
+    ),
+    "recovering": (
+        standard_specs,
+        recovering_plan,
+        {"repro_fault_origin_factor": 1.0, "repro_fault_latency_mult": 1.5},
+    ),
+    "stale-hint-drift": (standard_specs, drifting_plan, None),
+    "hint-delay": (one_spec(HintHierarchy, hint_delay_s=60.0), None, None),
+    "ideal-push": (one_spec(HintHierarchy, charge_remote_as_l1=True), None, {}),
+    "directory-l2": (
+        one_spec(CentralizedDirectoryArchitecture, directory_point=AccessPoint.L2),
+        None,
+        {},
+    ),
+}
+
+#: Accepted cases whose float timeline bins are held to 1e-12 of the
+#: series' running total, not of the bin.  A bin is the difference of
+#: two running totals, so its rounding scales with the total: in
+#: ``ideal-push``, whose bins are small beside its total, 70 of 504
+#: sharded response-time bins are up to 2.2e-12 of their own value away
+#: from the unsharded ones, and at most 1.6e-15 of the running total.
+#: Every other case meets the per-bin bound.
+PER_TOTAL_CASES = frozenset({"ideal-push"})
 
 
 class TestExactness:
-    """With unbounded caches, sharding the standard four changes no result.
+    """Every accepted configuration's sharded run equals the unsharded one.
 
-    Each of them keeps its cache state per object, so partitioning the
-    object space is exact.  Hints with push-1 is left out on purpose: its
-    push RNG stream is shared across objects, so its sharded run is only
-    approximate.
+    The standard four keep their cache state per object, so with
+    unbounded caches and no random stream shared across objects,
+    partitioning the object space changes no result: the clean run,
+    fault plans that crash, recover, degrade links and drift hints, hint
+    propagation delay, ideal-push accounting and a nearer directory.
     """
 
-    @pytest.mark.parametrize("faulted", [False, True], ids=["clean", "faulted"])
-    def test_sharded_equals_unsharded(self, faulted, tmp_path):
+    @pytest.mark.parametrize("case", list(EXACT_CASES))
+    def test_sharded_equals_unsharded(self, case, tmp_path):
         config = make_tiny_config()
-        fault_plan = (
-            FaultPlan(
-                events=(
-                    NodeCrash(time=0.0, kind="l2", node=0),
-                    OriginSlowdown(time=3600.0, factor=2.0),
-                ),
-                seed=config.seed,
-            )
-            if faulted
-            else None
-        )
-        specs = standard_specs(config)
+        build_specs, build_plan, final_gauges = EXACT_CASES[case]
+        specs = build_specs(config)
+        fault_plan = build_plan(config.seed) if build_plan is not None else None
+        timeline = final_gauges is not None
         sharded = run_comparison_sharded(
             config.profile("dec"),
             config.seed,
             specs,
             shards=2,
             fault_plan=fault_plan,
-            timeline_dir=str(tmp_path / "sharded"),
+            timeline_dir=str(tmp_path / "sharded") if timeline else None,
             engine="auto",
         )
         unsharded = run_comparison(
@@ -420,12 +458,16 @@ class TestExactness:
             fault_plan=fault_plan,
             engine="auto",
         )
-        assert list(sharded.results) == list(unsharded) == list(ARCHITECTURES)
+        names = list(unsharded)
+        assert list(sharded.results) == names
         for name, metrics in unsharded.items():
+            assert metrics.measured_requests > 0, name
             assert_metrics_match(metrics, sharded.results[name], name)
-        if faulted:
+        if fault_plan is not None:
             degraded = unsharded["hierarchy"].degraded
             assert degraded.fault_added_ms > 0 or degraded.timeout_fallbacks > 0
+        if not timeline:
+            return
         # The merged timelines equal the unsharded ones too -- the fault
         # gauges included, which every partition mirrors.
         timeline_dir = tmp_path / "unsharded"
@@ -436,13 +478,158 @@ class TestExactness:
             fault_plan=fault_plan,
             timeline_dir=str(timeline_dir),
         )
-        for name in ARCHITECTURES:
+        for name in names:
             assert_rows_match(
                 read_timeline_jsonl(str(timeline_dir / f"{name}.jsonl")),
                 sharded.timeline_rows[name],
                 name,
+                per_total=case in PER_TOTAL_CASES,
             )
-        if faulted:
-            gauges = sharded.timeline_rows["hierarchy"][-1]["gauges"]
-            assert gauges['repro_fault_origin_factor{arch="hierarchy"}'] == 2.0
-            assert gauges['repro_fault_latency_mult{arch="hierarchy"}'] == 1.0
+        gauges = sharded.timeline_rows[names[0]][-1]["gauges"]
+        for gauge, value in final_gauges.items():
+            assert gauges[f'{gauge}{{arch="{names[0]}"}}'] == value, gauge
+
+
+class _NoPool:
+    """A ``ProcessPoolExecutor`` stand-in: constructing it fails the test."""
+
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a refused run started a process pool")
+
+
+class _SubclassedHierarchy(DataHierarchy):
+    """Same behaviour as its parent, but not a type the proof covers."""
+
+
+#: Every kind of configuration ``run_comparison_sharded`` refuses: a specs
+#: builder, a fault-plan builder (or None), and the reason it must name.
+REFUSED_CASES = {
+    "bounded-l1": (
+        one_spec(DataHierarchy, l1_bytes=256 * 1024),
+        None,
+        "bounded L1 cache",
+    ),
+    "bounded-l2": (
+        one_spec(DataHierarchy, l2_bytes=256 * 1024),
+        None,
+        "bounded L2 cache",
+    ),
+    "bounded-l3": (
+        one_spec(IcpHierarchy, l3_bytes=256 * 1024),
+        None,
+        "bounded L3 cache",
+    ),
+    "random-policy-pressure": (
+        one_spec(
+            DataHierarchy,
+            l1_bytes=256 * 1024,
+            l2_bytes=256 * 1024,
+            l3_bytes=256 * 1024,
+            l1_policy=PolicySpec("random", seed=41),
+            l2_policy=PolicySpec("random", seed=42),
+            l3_policy=PolicySpec("random", seed=43),
+        ),
+        None,
+        "bounded L1 cache",
+    ),
+    "bounded-hint-cache": (
+        one_spec(HintHierarchy, hint_capacity_bytes=4096),
+        None,
+        "bounded hint cache",
+    ),
+    "push-1": (
+        lambda config: [
+            ArchitectureSpec(
+                HintHierarchy,
+                (config.topology, TestbedCostModel()),
+                dict(
+                    push_policy=HierarchicalPushOnMiss(
+                        config.topology, "push-1", seed=config.seed
+                    )
+                ),
+            )
+        ],
+        None,
+        "push policy",
+    ),
+    "client-hints": (
+        one_spec(ClientHintHierarchy, client_false_negative_rate=0.2),
+        None,
+        "ClientHintHierarchy is not one of",
+    ),
+    "message-level-hints": (
+        one_spec(MessageLevelHintHierarchy),
+        None,
+        "MessageLevelHintHierarchy is not one of",
+    ),
+    "subclass": (
+        one_spec(_SubclassedHierarchy),
+        None,
+        "_SubclassedHierarchy is not one of",
+    ),
+    "hint-batch-loss": (
+        standard_specs,
+        lambda seed: FaultPlan(events=(HintBatchLoss(time=0.0, prob=0.3),), seed=seed),
+        "HintBatchLoss",
+    ),
+    "hint-delay-timeline": (
+        one_spec(HintHierarchy, hint_delay_s=60.0),
+        None,
+        "delayed hints with a timeline",
+    ),
+    "stale-hint-drift-timeline": (
+        one_spec(HintHierarchy),
+        drifting_plan,
+        "delayed hints with a timeline",
+    ),
+}
+
+
+class TestRefusal:
+    """Everything else is refused with one ValueError, before any work.
+
+    The refusal names the architecture and the reason, and comes before
+    a process pool, a trace or a shard task exists -- so nothing is
+    computed, and no timeline directory is created.
+    """
+
+    @pytest.mark.parametrize("case", list(REFUSED_CASES))
+    def test_refused_before_any_work(self, case, tmp_path, monkeypatch):
+        config = make_tiny_config()
+        build_specs, build_plan, reason = REFUSED_CASES[case]
+        specs = build_specs(config)
+        fault_plan = build_plan(config.seed) if build_plan is not None else None
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a refused run started work")
+
+        monkeypatch.setattr(sharding, "ProcessPoolExecutor", _NoPool)
+        monkeypatch.setattr(sharding, "_shard_task", no_work)
+        monkeypatch.setattr(sharding, "cached_trace", no_work)
+        timeline_dir = tmp_path / "timeline"
+        refused = re.escape(f"cannot shard {specs[0].build().name!r} exactly")
+        with pytest.raises(ValueError, match=refused) as refusal:
+            run_comparison_sharded(
+                config.profile("dec"),
+                config.seed,
+                specs,
+                shards=2,
+                jobs=2,
+                fault_plan=fault_plan,
+                timeline_dir=str(timeline_dir),
+            )
+        assert reason in str(refusal.value)
+        assert not timeline_dir.exists()
+
+    def test_the_stand_ins_catch_work(self, monkeypatch):
+        # The refusal test's guards have teeth: an accepted run trips them.
+        config = make_tiny_config()
+        monkeypatch.setattr(sharding, "ProcessPoolExecutor", _NoPool)
+        with pytest.raises(AssertionError, match="process pool"):
+            run_comparison_sharded(
+                config.profile("dec"),
+                config.seed,
+                standard_specs(config),
+                shards=2,
+                jobs=2,
+            )
